@@ -7,13 +7,10 @@ structure argument of edge_attn_agg; no gradient flows into their weights.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import NumericalError, ShapeMismatch
 
-_node_counter = itertools.count()
 _nodes_created = 0
 
 
@@ -23,7 +20,7 @@ def node_creation_count():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "node_id")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         global _nodes_created
@@ -41,7 +38,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.parents = parents
         self.backward_fn = backward_fn
-        self.node_id = next(_node_counter)
         _nodes_created += 1
 
     @property
@@ -163,7 +159,7 @@ def spmm(op, x):
     if op.cols != x.shape[0]:
         raise ShapeMismatch(f"spmm: operator is {op.rows}x{op.cols}, dense is {x.shape}")
     out = Tensor(op.matmul(x.data), parents=(x,))
-    out.backward_fn = lambda g: _accum(x, op.matmul_t(g))
+    out.backward_fn = lambda g: _accum(x, op.to_csr().T @ g)
     return out
 
 
@@ -391,15 +387,6 @@ def init_array(spec, shape, rng, dtype=np.float64):
     if isinstance(spec, tuple) and spec[0] == "const":
         return np.full(shape, float(spec[1]), dtype=dtype)
     raise ValueError(f"unknown init spec {spec!r}")
-
-
-class Parameter:
-    """Named trainable tensor with an init spec."""
-
-    def __init__(self, name, shape, spec, rng, dtype=np.float64):
-        self.name = name
-        self.init_spec = spec
-        self.tensor = Tensor(init_array(spec, shape, rng, dtype), requires_grad=True)
 
 
 class AdamState:

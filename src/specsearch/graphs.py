@@ -20,7 +20,6 @@ class Variant(Enum):
     ADJ_RW_NORM = "adjacency-rw-norm"
     COMBINATORIAL = "combinatorial"
     SYM_LAPLACIAN = "sym-laplacian"
-    RW_LAPLACIAN = "rw-laplacian"
     SCALED_LAPLACIAN = "scaled-laplacian"
     PRUNED_NORM = "pruned-norm"
 
@@ -83,11 +82,8 @@ class Graph:
         self.splits = splits
 
     def degrees(self):
-        d = np.zeros(self.num_nodes, dtype=np.float64)
-        for u, v in self.edges:
-            d[u] += 1.0
-            d[v] += 1.0
-        return d
+        ends = np.asarray(self.edges, dtype=np.int64).ravel()
+        return np.bincount(ends, minlength=self.num_nodes).astype(np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -105,7 +101,11 @@ class Graph:
 
 
 class SparseOp:
-    """An n x m sparse operator in coordinate form, sorted by (row, col), duplicate-free."""
+    """An n x m sparse operator in coordinate form, sorted by (row, col), duplicate-free.
+
+    `to_csr` builds one CSR copy on first use and caches it; products with the
+    transpose use its `.T` view.
+    """
 
     def __init__(self, rows, cols, row, col, val):
         row = np.asarray(row, dtype=np.int64)
@@ -127,7 +127,6 @@ class SparseOp:
         self.cols = int(cols)
         self.row, self.col, self.val = row, col, val
         self._csr = None
-        self._csr_t = None
 
     @property
     def nnz(self):
@@ -139,88 +138,64 @@ class SparseOp:
                                       shape=(self.rows, self.cols))
         return self._csr
 
-    def to_csr_t(self):
-        if self._csr_t is None:
-            self._csr_t = self.to_csr().T.tocsr()
-        return self._csr_t
-
     def to_dense(self):
         return self.to_csr().toarray()
 
     def matmul(self, dense):
         return self.to_csr() @ dense
 
-    def matmul_t(self, dense):
-        return self.to_csr_t() @ dense
 
+def _coo_with_loops(graph, c):
+    """Coordinates and weights of A + cI, and its row sums (degrees + c).
 
-def _from_entries(n, entries):
-    """entries: dict (i, j) -> weight; zero weights dropped."""
-    items = [(i, j, w) for (i, j), w in entries.items() if w != 0.0]
-    if not items:
-        return SparseOp(n, n, [], [], [])
-    r, c, v = zip(*items)
-    return SparseOp(n, n, r, c, v)
-
-
-def _sym_norm_entries(graph, c):
-    """Entries of D~^{-1/2} (A + cI) D~^{-1/2}, each unordered pair computed once."""
-    d = graph.degrees() + c
-    inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    entries = {}
-    for u, v in graph.edges:
-        w = inv_sqrt[u] * inv_sqrt[v]
-        entries[(u, v)] = w
-        entries[(v, u)] = w
+    Both directions of every edge come first, then the diagonal when c > 0;
+    prune_mean_std's mean, std and sum round in this order.
+    """
+    n = graph.num_nodes
+    u, v = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    row, col = np.concatenate([u, v]), np.concatenate([v, u])
+    val = np.ones(row.size)
     if c > 0:
-        for i in range(graph.num_nodes):
-            entries[(i, i)] = c * inv_sqrt[i] * inv_sqrt[i]
-    return entries
+        diag = np.arange(n)
+        row, col = np.concatenate([row, diag]), np.concatenate([col, diag])
+        val = np.concatenate([val, np.full(n, float(c))])
+    # bincount of an empty array is integer-typed
+    return row, col, val, np.bincount(row, weights=val, minlength=n).astype(np.float64)
 
 
-def _rw_norm_entries(graph, c):
-    d = graph.degrees() + c
-    inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
-    entries = {}
-    for u, v in graph.edges:
-        entries[(u, v)] = inv[u]
-        entries[(v, u)] = inv[v]
-    if c > 0:
-        for i in range(graph.num_nodes):
-            entries[(i, i)] = c * inv[i]
-    return entries
+def _inverse(d):
+    """1 / d where d > 0, else 0."""
+    return np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
 
 
-def _laplacian_from_norm(n, norm_entries):
-    """I minus a normalized-adjacency entry map."""
-    entries = {(i, i): 1.0 for i in range(n)}
-    for (i, j), w in norm_entries.items():
-        entries[(i, j)] = entries.get((i, j), 0.0) - w
-    return entries
+def _nonzero_op(m):
+    """SparseOp of the nonzero entries of a scipy sparse matrix."""
+    m = m.tocoo()
+    keep = m.data != 0.0
+    return SparseOp(m.shape[0], m.shape[1], m.row[keep], m.col[keep], m.data[keep])
 
 
-def _power_iteration_lambda_max(op, iters=300, rtol=1e-12):
-    """Largest eigenvalue of a symmetric PSD operator; 2.0 fallback on non-convergence."""
-    n = op.rows
-    if op.nnz == 0:
+def _power_iteration_lambda_max(csr, iters=300, rtol=1e-12):
+    """Largest eigenvalue of a symmetric PSD matrix; 2.0 fallback on non-convergence."""
+    if csr.nnz == 0:
         return 2.0
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
+    v = rng.standard_normal(csr.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    csr = op.to_csr()
+    w = csr @ v
     for _ in range(iters):
-        w = csr @ v
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return 2.0
-        v_new = w / nrm
-        lam_new = float(v_new @ (csr @ v_new))
+        v = w / nrm
+        w = csr @ v
+        lam_new = float(v @ w)
         if not math.isfinite(lam_new):
             raise NumericalError("non-finite eigenvalue estimate in power iteration")
         if lam != 0.0 and abs(lam_new - lam) < rtol * abs(lam):
             return lam_new
-        lam, v = lam_new, v_new
+        lam = lam_new
     return 2.0
 
 
@@ -229,30 +204,28 @@ def build_operator(graph, variant):
     n = graph.num_nodes
     c = variant.self_loop_weight
     kind = variant.kind
-    if kind is Variant.ADJ_SYM_NORM:
-        return _from_entries(n, _sym_norm_entries(graph, c))
-    if kind is Variant.ADJ_RW_NORM:
-        return _from_entries(n, _rw_norm_entries(graph, c))
-    if kind is Variant.COMBINATORIAL:
-        d = graph.degrees()
-        entries = {(i, i): d[i] for i in range(n) if d[i] != 0.0}
-        for u, v in graph.edges:
-            entries[(u, v)] = -1.0
-            entries[(v, u)] = -1.0
-        return _from_entries(n, entries)
-    if kind is Variant.SYM_LAPLACIAN:
-        return _from_entries(n, _laplacian_from_norm(n, _sym_norm_entries(graph, c)))
-    if kind is Variant.RW_LAPLACIAN:
-        return _from_entries(n, _laplacian_from_norm(n, _rw_norm_entries(graph, c)))
-    if kind is Variant.SCALED_LAPLACIAN:
-        lsym = _laplacian_from_norm(n, _sym_norm_entries(graph, c))
-        lam_max = _power_iteration_lambda_max(_from_entries(n, lsym))
-        entries = {k: 2.0 * w / lam_max for k, w in lsym.items()}
-        for i in range(n):
-            entries[(i, i)] = entries.get((i, i), 0.0) - 1.0
-        return _from_entries(n, entries)
     if kind is Variant.PRUNED_NORM:
         return prune_mean_std(graph, c)
+    if kind is Variant.COMBINATORIAL:
+        # D - A: the self-loop weight cancels
+        row, col, val, deg = _coo_with_loops(graph, 0.0)
+        return _nonzero_op(sp.diags(deg) - sp.csr_matrix((val, (row, col)), (n, n)))
+    row, col, val, deg = _coo_with_loops(graph, c)
+    if kind is Variant.ADJ_RW_NORM:
+        return _nonzero_op(sp.coo_matrix((val * _inverse(deg)[row], (row, col)), (n, n)))
+    inv_sqrt = _inverse(np.sqrt(deg))
+    norm = val * inv_sqrt[row] * inv_sqrt[col]
+    if kind is Variant.ADJ_SYM_NORM:
+        return _nonzero_op(sp.coo_matrix((norm, (row, col)), (n, n)))
+    eye = sp.identity(n, format="csr")
+    lap = eye - sp.csr_matrix((norm, (row, col)), (n, n))
+    if kind is Variant.SYM_LAPLACIAN:
+        return _nonzero_op(lap)
+    if kind is Variant.SCALED_LAPLACIAN:
+        lam_max = _power_iteration_lambda_max(lap)
+        # not `lap / lam_max`: scipy multiplies by the reciprocal, which rounds differently
+        lap.data = 2.0 * lap.data / lam_max
+        return _nonzero_op(lap - eye)
     raise ValueError(f"unhandled variant {kind}")
 
 
@@ -265,23 +238,12 @@ def prune_mean_std(graph, self_loop_weight, epsilon=1e-10):
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     n = graph.num_nodes
-    c = float(self_loop_weight)
-    entries = {}
-    for u, v in graph.edges:
-        entries[(u, v)] = 1.0
-        entries[(v, u)] = 1.0
-    if c > 0:
-        for i in range(n):
-            entries[(i, i)] = c
-    if not entries:
+    row, col, val, _ = _coo_with_loops(graph, float(self_loop_weight))
+    if not val.size:
         return SparseOp(n, n, [], [], [])
-    vals = np.array(list(entries.values()))
-    mu = float(vals.mean())
-    sigma = float(vals.std())
-    total = float(vals.sum())
-    thresh = mu - sigma
-    kept = {k: w / (total + epsilon) for k, w in entries.items() if w >= thresh}
-    return _from_entries(n, kept)
+    keep = val >= val.mean() - val.std()
+    kept = val[keep] / (val.sum() + epsilon)
+    return _nonzero_op(sp.coo_matrix((kept, (row[keep], col[keep])), (n, n)))
 
 
 @dataclass(frozen=True)

@@ -232,15 +232,6 @@ class SearchReport:
     generation_logs: list = field(default_factory=list)
 
 
-def convergence_rows(seed_records, generation_logs, archive_history):
-    """Rows for the convergence CSV: gen, best, mean, evaluated_ok."""
-    rows = []
-    for gen, best, mean, ok in archive_history:
-        rows.append({"gen": gen, "best": f"{best:.6f}", "mean": f"{mean:.6f}",
-                     "evaluated_ok": ok})
-    return rows
-
-
 def run_search(graph, split, search_cfg, train_cfg, backend, out_dir=None, log=None):
     """Full run: seed init plus `generations` cycles; optionally writes artifacts.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from multiprocessing import connection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +168,7 @@ def train(assembly, graph, split, cfg):
 @dataclass
 class FitResult:
     status: str                 # "ok" or "discarded"
-    reason: str = None          # parse | shape | compile | numeric | timeout
+    reason: str = None          # parse | shape | compile | numeric | timeout | internal
     fitness: float = None       # validation accuracy, only when ok
     test_accuracy: float = None
     epochs_run: int = 0
@@ -216,7 +217,7 @@ def _score_worker(conn, program_text, graph, split, cfg):
     try:
         result = _score_impl(program_text, graph, split, cfg)
     except Exception:
-        result = FitResult("discarded", reason="numeric")
+        result = FitResult("discarded", reason="internal")
     try:
         conn.send(result)
     finally:
@@ -252,7 +253,9 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=4):
         while next_idx < len(texts) and len(pending) < pool_size:
             launch(next_idx)
             next_idx += 1
-        time.sleep(0.01)
+        deadline = min(started for _, _, started in pending.values()) + cfg.timeout_seconds
+        connection.wait([w for proc, conn, _ in pending.values() for w in (conn, proc.sentinel)],
+                        timeout=max(0.0, deadline - time.monotonic()))
         for i in list(pending):
             proc, conn, started = pending[i]
             elapsed = time.monotonic() - started
@@ -271,7 +274,7 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=4):
                 proc.join()
                 conn.close()
                 del pending[i]
-            elif elapsed > cfg.timeout_seconds:
+            elif elapsed >= cfg.timeout_seconds:
                 proc.terminate()
                 proc.join(5)
                 if proc.is_alive():

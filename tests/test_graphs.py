@@ -87,6 +87,54 @@ class TestBuildOperator:
         assert np.allclose(m.sum(axis=1), 1.0)
 
 
+def dense_reference(graph, kind, c, lam_max=None):
+    """Dense numpy version of each operator's formula."""
+    n = graph.num_nodes
+    a = np.zeros((n, n))
+    for u, v in graph.edges:
+        a[u, v] = a[v, u] = 1.0
+    ac = a + c * np.eye(n)
+    d = ac.sum(axis=1)
+    safe = np.where(d > 0, d, 1.0)
+    inv = np.where(d > 0, 1.0 / safe, 0.0)
+    inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(safe), 0.0)
+    sym = inv_sqrt[:, None] * ac * inv_sqrt[None, :]
+    lap = np.eye(n) - sym
+    if kind is Variant.ADJ_SYM_NORM:
+        return sym
+    if kind is Variant.ADJ_RW_NORM:
+        return inv[:, None] * ac
+    if kind is Variant.COMBINATORIAL:
+        return np.diag(a.sum(axis=1)) - a
+    if kind is Variant.SYM_LAPLACIAN:
+        return lap
+    if kind is Variant.SCALED_LAPLACIAN:
+        return 2.0 * lap / lam_max - np.eye(n)
+    nz = ac[ac != 0]
+    return np.where(ac >= nz.mean() - nz.std(), ac, 0.0) / (nz.sum() + 1e-10)
+
+
+class TestOperatorFormulas:
+    # node 5 is isolated; nodes 0-4 form a triangle with a two-edge tail
+    GRAPH = graphs.Graph(6, 2, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                         np.zeros((6, 2)), [0, 1, 0, 1, 0, 1])
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("kind", list(Variant))
+    def test_matches_dense_formula(self, kind, c):
+        m = graphs.build_operator(self.GRAPH, LaplacianVariant(kind, c)).to_dense()
+        lam_max = None
+        if kind is Variant.SCALED_LAPLACIAN:
+            # power iteration stops at a relative step of 1e-12, so read its estimate
+            # back from an edge entry and check it against the dense spectrum
+            lap = dense_reference(self.GRAPH, Variant.SYM_LAPLACIAN, c)
+            lam_max = 2.0 * lap[0, 1] / m[0, 1]
+            assert abs(lam_max - np.linalg.eigvalsh(lap).max()) < 1e-9
+        ref = dense_reference(self.GRAPH, kind, c, lam_max)
+        assert np.array_equal(m != 0, ref != 0)
+        assert np.abs(m - ref).max() < 1e-12
+
+
 class TestPruneMeanStd:
     def test_two_node_example(self):
         g = graphs.Graph(2, 2, [(0, 1)], np.zeros((2, 2)), [0, 1])

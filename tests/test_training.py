@@ -121,6 +121,14 @@ class TestScoring:
         res = training.score_individual(bad, g, split, cfg)
         assert res.reason == "shape"
 
+    def test_unexpected_exception_is_internal(self, scored_setup, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise RuntimeError("engine bug")
+        monkeypatch.setattr(training, "train", broken_train)
+        g, split, cfg = scored_setup
+        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        assert res.status == "discarded" and res.reason == "internal"
+
     def test_timeout_discard(self):
         g = graphs.gen_synthetic(200, 3, 0.8, 8.0, 10, 1.0, seed=1)
         split = graphs.make_split(200, (0.2, 0.2, 0.6), labels=g.labels, seed=0)
