@@ -11,19 +11,10 @@ import numpy as np
 
 from .errors import NumericalError, ShapeMismatch
 
-_nodes_created = 0
-
-
-def node_creation_count():
-    """Total tensors created so far (monotone counter, used to size compiled graphs)."""
-    return _nodes_created
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        global _nodes_created
         data = np.asarray(data)
         if data.ndim == 0:
             data = data.reshape(1, 1)
@@ -38,7 +29,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.parents = parents
         self.backward_fn = backward_fn
-        _nodes_created += 1
 
     @property
     def shape(self):

@@ -19,7 +19,6 @@ class TypedProgram:
     param_shapes: dict          # name -> (rows, cols); arrays share one shape
     out_shape: tuple
     warnings: list = field(default_factory=list)
-    shapes: dict = field(default_factory=dict)  # id(expr node) -> shape value
 
 
 def _resolve_dim(d, dims, where):
@@ -55,10 +54,8 @@ class _Checker:
     def __init__(self, prog, dims):
         self.prog = prog
         self.dims = dims
-        self.shapes = {}
         self.warnings = []
         self.param_shapes = {}
-        self.consts = dict(prog.consts)
         self.arrays = {}
         n, h = dims["n"], dims["h"]
         self.env = {"X": ("mat", n, h), "X_raw": ("mat", n, h)}
@@ -98,16 +95,11 @@ class _Checker:
         return TypedProgram(program=self.prog, dims=dict(self.dims),
                             param_shapes=dict(self.param_shapes),
                             out_shape=(out[1], out[2]),
-                            warnings=self.warnings, shapes=self.shapes)
+                            warnings=self.warnings)
 
     def check_block(self, stmts):
         for st in stmts:
             self.env[st.target] = self.infer(st.expr)
-
-    def infer(self, e):
-        s = self._infer(e)
-        self.shapes[id(e)] = s
-        return s
 
     def _mat(self, s, e, what):
         if s == NUM:
@@ -116,7 +108,7 @@ class _Checker:
             raise ShapeMismatch(f"{what}: expected a tensor, got {s}{_span(e)}")
         return s
 
-    def _infer(self, e):
+    def infer(self, e):
         if isinstance(e, Num):
             return NUM
         if isinstance(e, Name):
@@ -153,6 +145,8 @@ class _Checker:
         rs = self.infer(e.right)
         op = e.op
         if op == "@":
+            if NUM in (ls, rs):
+                raise ShapeMismatch(f"@ requires tensor operands{_span(e)}")
             lm = self._mat(ls, e, "matmul left")
             rm = self._mat(rs, e, "matmul right")
             if lm[2] != rm[1]:
@@ -191,11 +185,7 @@ class _Checker:
                 raise ShapeMismatch(
                     f"spmm: operator is {g[1]}x{g[1]}, dense has {x[1]} rows{_span(e)}")
             return x
-        if fn in ("relu", "elu", "tanh", "sigmoid"):
-            need(1)
-            s = self.infer(args[0])
-            return s if s == NUM else self._mat(s, e, fn)
-        if fn == "softmax_rows":
+        if fn in ("relu", "elu", "tanh", "sigmoid", "softmax_rows"):
             need(1)
             return self._mat(self.infer(args[0]), e, fn)
         if fn == "sum_rows":

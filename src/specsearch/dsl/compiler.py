@@ -1,17 +1,22 @@
 """Compile a shape-checked program into an executable mechanism.
 
-Graph operators are materialized once; the K-step loop is unrolled at call
-time, so the autodiff tape grows linearly in K.
+The program is lowered once, at compile time: the K-step loop is unrolled with
+k bound, compile-time scalars (literals, consts, K, k and arithmetic or `pow`
+over them) are folded to Python floats, and every tensor operation becomes one
+entry of a flat op list. Graph operators and parameters are materialized once.
+A forward pass replays the op list, so the autodiff tape grows linearly in K.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..errors import NumericalError, ShapeMismatch
-from ..graphs import LaplacianVariant, SparseOp, Variant, build_operator
-from .checker import param_shape
+from ..graphs import LaplacianVariant, Variant, build_operator
 from .nodes import Bin, Call, Index, Name, Num, Unary
 
 _CTOR_TO_VARIANT = {
@@ -27,143 +32,134 @@ _UNARY_CALLS = {"relu": ad.relu, "elu": ad.elu, "tanh": ad.tanh,
                 "sigmoid": ad.sigmoid, "softmax_rows": ad.softmax_rows,
                 "sum_rows": ad.sum_rows}
 
+_TENSOR_OPS = {"+": ad.add, "-": ad.sub, "*": ad.mul, "/": ad.div, "@": ad.matmul,
+               "spmm": ad.spmm, "pow": ad.power, "attn_agg": ad.edge_attn_agg,
+               "concat": ad.concat_cols}
+
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "pow": operator.pow}
+
+
+def _fold(op, a, b):
+    """Evaluate a scalar op at compile time; the result must be a finite float."""
+    try:
+        v = _SCALAR_OPS[op](a, b)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"{op} on compile-time scalars {a:g}, {b:g}: {exc}") from None
+    if not (isinstance(v, float) and math.isfinite(v)):
+        raise NumericalError(f"{op} on compile-time scalars {a:g}, {b:g} is not a finite real")
+    return v
+
 
 class CompiledMechanism:
-    """Callable (X_in n x h, X_raw n x h) -> Tensor, owning its parameters."""
+    """Callable (X_in n x h, X_raw n x h) -> Tensor, owning its parameters.
+
+    `slots` holds every value a forward pass can read: X and X_raw (slots 0 and
+    1, filled per call), constants (floats, graph operators, parameters, 1x1
+    tensors) and op results. Each entry of `ops` is (autodiff function, input
+    slots, output slot), in evaluation order.
+    """
 
     def __init__(self, typed, graph, seed=0, dtype=np.float64):
         prog = typed.program
-        self.program = prog
-        self.dims = typed.dims
         self.out_shape = typed.out_shape
         self.dtype = dtype
+        self.slots = [None, None]
+        self.ops = []
+        # Compile-time state: name -> slot, or a float for a compile-time scalar;
+        # array parameter name -> its slots, index i at [i - 1].
+        self._env = env = {"X": 0, "X_raw": 1}
+        self._arrays = arrays = {}
+        self.params = {}                # flat name -> Tensor
+        rng = np.random.default_rng(seed)
+        for decl in prog.params:
+            shp = typed.param_shapes[decl.name]
+            if decl.array is None:
+                t = ad.Tensor(ad.init_array(decl.init, shp, rng, dtype), requires_grad=True)
+                self.params[decl.name] = t
+                env[decl.name] = self._slot(t)
+                continue
+            length = prog.loop_count if decl.array == "K" else decl.array
+            arrays[decl.name] = []
+            for i in range(1, length + 1):
+                t = ad.Tensor(ad.init_array(decl.init, shp, rng, dtype), requires_grad=True)
+                self.params[f"{decl.name}[{i}]"] = t
+                arrays[decl.name].append(self._slot(t))
         self.operators = {}
         for g in prog.graph_defs:
             variant = LaplacianVariant(_CTOR_TO_VARIANT[g.ctor], g.self_loop)
             self.operators[g.name] = build_operator(graph, variant)
-        rng = np.random.default_rng(seed)
-        self.params = {}        # flat name -> Tensor
-        self._scalars = {}      # declared name -> Tensor (non-array params)
-        self._arrays = {}       # declared name -> list[Tensor], index 1..L at [i-1]
-        for decl in prog.params:
-            shp = param_shape(decl, typed.dims)
-            if decl.array is None:
-                t = ad.Tensor(ad.init_array(decl.init, shp, rng, dtype), requires_grad=True)
-                self._scalars[decl.name] = t
-                self.params[decl.name] = t
-            else:
-                length = prog.loop_count if decl.array == "K" else decl.array
-                lst = []
-                for i in range(1, length + 1):
-                    t = ad.Tensor(ad.init_array(decl.init, shp, rng, dtype),
-                                  requires_grad=True)
-                    lst.append(t)
-                    self.params[f"{decl.name}[{i}]"] = t
-                self._arrays[decl.name] = lst
-        self.consts = {name: float(v) for name, v in prog.consts}
-
-    def forward(self, x_in, x_raw):
-        prog = self.program
-        env = {"X": x_in, "X_raw": x_raw}
-        env.update(self.operators)
-        env.update(self._scalars)
-        env.update(self.consts)
-        env["K"] = float(prog.loop_count) if prog.const("K") is not None else 0.0
-        for st in prog.init_block:
-            env[st.target] = self._eval(st.expr, env)
+            env[g.name] = self._slot(self.operators[g.name])
+        env.update((name, float(v)) for name, v in prog.consts)
+        env["K"] = float(prog.loop_count)
+        self._lower_block(prog.init_block)
         if prog.has_step:
             for k in range(1, prog.loop_count + 1):
                 env["k"] = float(k)
-                for st in prog.step_block:
-                    env[st.target] = self._eval(st.expr, env)
-        for st in prog.final_block:
-            env[st.target] = self._eval(st.expr, env)
-        return self._as_tensor(self._eval(prog.out_expr, env))
+                self._lower_block(prog.step_block)
+        self._lower_block(prog.final_block)
+        self.out = self._lower(prog.out_expr)
+        del self._env, self._arrays
+
+    def forward(self, x_in, x_raw):
+        vals = self.slots.copy()
+        vals[0], vals[1] = x_in, x_raw
+        for fn, args, out in self.ops:
+            vals[out] = fn(*[vals[i] for i in args])
+        return vals[self.out]
 
     __call__ = forward
 
-    def _as_tensor(self, v):
-        if isinstance(v, ad.Tensor):
-            return v
-        return ad.Tensor(np.array([[v]], dtype=self.dtype))
+    # -- lowering ------------------------------------------------------------
 
-    def _eval(self, e, env):
+    def _slot(self, value=None):
+        self.slots.append(value)
+        return len(self.slots) - 1
+
+    def _op(self, fn, *args):
+        """Append fn(*args) to the op list; float args become constant slots."""
+        args = tuple(self._slot(a) if isinstance(a, float) else a for a in args)
+        out = self._slot()
+        self.ops.append((fn, args, out))
+        return out
+
+    def _lower_block(self, stmts):
+        for st in stmts:
+            self._env[st.target] = self._lower(st.expr)
+
+    def _lower(self, e):
+        """A float for a compile-time scalar, else the slot holding e's value."""
         if isinstance(e, Num):
             return float(e.value)
         if isinstance(e, Name):
-            return env[e.ident]
+            return self._env[e.ident]
         if isinstance(e, Index):
-            idx = self._eval(e.index, env)
-            i = int(idx)
-            lst = self._arrays[e.name]
-            if not 1 <= i <= len(lst):
-                raise ShapeMismatch(f"index {i} out of range for {e.name!r}")
-            return lst[i - 1]
+            i = self._lower(e.index)
+            slots = self._arrays[e.name]
+            if not (i.is_integer() and 1 <= i <= len(slots)):
+                raise ShapeMismatch(f"index {i:g} of {e.name!r} is not an integer in "
+                                    f"1..{len(slots)}")
+            return slots[int(i) - 1]
         if isinstance(e, Unary):
-            v = self._eval(e.operand, env)
-            return -v if isinstance(v, float) else ad.neg(v)
+            v = self._lower(e.operand)
+            return -v if isinstance(v, float) else self._op(ad.neg, v)
         if isinstance(e, Bin):
-            a = self._eval(e.left, env)
-            b = self._eval(e.right, env)
-            return self._binop(e.op, a, b)
+            a, b = self._lower(e.left), self._lower(e.right)
+            if isinstance(a, float) and isinstance(b, float):
+                return _fold(e.op, a, b)
+            return self._op(_TENSOR_OPS[e.op], a, b)
         if isinstance(e, Call):
-            return self._call(e, env)
+            args = [self._lower(a) for a in e.args]
+            if e.fn in _UNARY_CALLS:
+                if isinstance(args[0], float):
+                    args[0] = self._slot(ad.Tensor(np.array([[args[0]]], dtype=self.dtype)))
+                return self._op(_UNARY_CALLS[e.fn], args[0])
+            if e.fn == "pow" and isinstance(args[0], float):
+                return _fold("pow", *args)
+            return self._op(_TENSOR_OPS[e.fn], *args)
         raise TypeError(f"not an expression node: {e!r}")
-
-    def _binop(self, op, a, b):
-        both_float = isinstance(a, float) and isinstance(b, float)
-        if both_float:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise NumericalError("division by zero")
-                return a / b
-            raise ShapeMismatch("@ requires tensor operands")
-        if op == "@":
-            if isinstance(a, float) or isinstance(b, float):
-                raise ShapeMismatch("@ requires tensor operands")
-            return ad.matmul(a, b)
-        fn = {"+": ad.add, "-": ad.sub, "*": ad.mul, "/": ad.div}[op]
-        return fn(a, b)
-
-    def _call(self, e, env):
-        fn = e.fn
-        if fn == "spmm":
-            op = self._eval(e.args[0], env)
-            if not isinstance(op, SparseOp):
-                raise ShapeMismatch("spmm: first argument must be a graph operator")
-            return ad.spmm(op, self._eval(e.args[1], env))
-        if fn in _UNARY_CALLS:
-            v = self._eval(e.args[0], env)
-            if isinstance(v, float):
-                v = self._as_tensor(v)
-            return _UNARY_CALLS[fn](v)
-        if fn == "pow":
-            base = self._eval(e.args[0], env)
-            expo = self._eval(e.args[1], env)
-            if not isinstance(expo, float):
-                raise ShapeMismatch("pow exponent must be a compile-time scalar")
-            if isinstance(base, float):
-                return float(base) ** expo
-            return ad.power(base, expo)
-        if fn == "attn_agg":
-            op = self._eval(e.args[0], env)
-            if not isinstance(op, SparseOp):
-                raise ShapeMismatch("attn_agg: first argument must be a graph operator")
-            return ad.edge_attn_agg(op,
-                                    self._eval(e.args[1], env),
-                                    self._eval(e.args[2], env),
-                                    self._eval(e.args[3], env))
-        if fn == "concat":
-            return ad.concat_cols(self._eval(e.args[0], env), self._eval(e.args[1], env))
-        raise ShapeMismatch(f"unknown function {fn!r}")
 
 
 def compile_program(typed, graph, seed=0, dtype=np.float64):
-    """Materialize operators and parameters for a shape-checked program."""
+    """Materialize operators and parameters and lower a shape-checked program."""
     return CompiledMechanism(typed, graph, seed=seed, dtype=dtype)

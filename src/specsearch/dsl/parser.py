@@ -142,11 +142,16 @@ class _Parser:
         if self.at("-"):
             self.next()
             neg = True
-        t = self.next()
+        v = self.number(self.next())
+        return -v if neg else v
+
+    def number(self, t):
         if t.kind != "number":
             self.fail(f"expected number, found {t.text!r}", t)
         v = float(t.text)
-        return -v if neg else v
+        if v == float("inf"):
+            self.fail(f"number {t.text} is too large", t)
+        return v
 
     def params_section(self):
         self.expect("params")
@@ -184,7 +189,7 @@ class _Parser:
             it = self.next()
             if it.text == "K":
                 array = "K"
-            elif it.kind == "number" and "." not in it.text:
+            elif it.text.isdigit():
                 array = int(it.text)
             else:
                 self.fail(f"array bound must be K or an integer, found {it.text!r}", it)
@@ -197,7 +202,7 @@ class _Parser:
         t = self.next()
         if t.kind == "ident" and t.text in ("n", "f", "h", "c"):
             return t.text
-        if t.kind == "number" and "." not in t.text:
+        if t.text.isdigit():
             return int(t.text)
         self.fail(f"expected dimension n/f/h/c or integer, found {t.text!r}", t)
 
@@ -233,6 +238,8 @@ class _Parser:
                     self.fail(f"graph constructors take only c=.., found {ctok.text!r}", ctok)
                 self.expect("=")
                 c = self.signed_number()
+                if c < 0:
+                    self.fail(f"self-loop weight c must be >= 0, got {c:g}", ctok)
             self.expect(")")
             self.expect(";")
             out.append(GraphDef(name=name, ctor=ctor, self_loop=c))
@@ -300,7 +307,7 @@ class _Parser:
     def atom(self):
         t = self.next()
         if t.kind == "number":
-            return Num(value=float(t.text), pos=(t.line, t.col))
+            return Num(value=self.number(t), pos=(t.line, t.col))
         if t.kind == "ident":
             if self.at("("):
                 if t.text not in CALLS:

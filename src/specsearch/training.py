@@ -11,8 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dsl
-from .errors import (DslSyntaxError, NumericalError, ShapeMismatch, SpecSearchError,
-                     UndeclaredIdentifier)
+from .errors import NumericalError, SpecSearchError
 
 
 @dataclass
@@ -168,7 +167,7 @@ def train(assembly, graph, split, cfg):
 @dataclass
 class FitResult:
     status: str                 # "ok" or "discarded"
-    reason: str = None          # parse | shape | compile | numeric | timeout | internal
+    reason: str = None          # parse | shape | compile | numeric | timeout | crash | internal
     fitness: float = None       # validation accuracy, only when ok
     test_accuracy: float = None
     epochs_run: int = 0
@@ -184,33 +183,37 @@ class FitResult:
 
 
 def _score_impl(program_text, graph, split, cfg):
+    """parse -> shape-check -> compile -> train -> evaluate, as one FitResult.
+
+    A SpecSearchError discards the program with its stage as the reason, a
+    NumericalError as "numeric"; during training anything else is raised.
+    """
     start = time.monotonic()
+    stage = "parse"
     try:
         prog = dsl.parse(program_text)
-    except DslSyntaxError:
-        return FitResult("discarded", reason="parse", wall_seconds=time.monotonic() - start)
-    dims = {"n": graph.num_nodes, "f": graph.num_features,
-            "h": cfg.hidden, "c": graph.num_classes}
-    try:
+        stage = "shape"
+        dims = {"n": graph.num_nodes, "f": graph.num_features,
+                "h": cfg.hidden, "c": graph.num_classes}
         typed = dsl.check_shapes(prog, dims)
-    except (ShapeMismatch, UndeclaredIdentifier):
-        return FitResult("discarded", reason="shape", wall_seconds=time.monotonic() - start)
-    try:
+        stage = "compile"
         mech = dsl.compile_program(typed, graph, seed=cfg.seed + 1, dtype=cfg.dtype)
         assembly = ModelAssembly(mech, graph, cfg)
-    except NumericalError:
-        return FitResult("discarded", reason="numeric", wall_seconds=time.monotonic() - start)
-    except SpecSearchError:
-        return FitResult("discarded", reason="compile", wall_seconds=time.monotonic() - start)
-    try:
+        stage = "train"
         metrics = train(assembly, graph, split, cfg)
         fitness = evaluate(assembly, graph, split.val)
         test_acc = evaluate(assembly, graph, split.test) if split.test else None
     except NumericalError:
-        return FitResult("discarded", reason="numeric", wall_seconds=time.monotonic() - start)
-    return FitResult("ok", fitness=fitness, test_accuracy=test_acc,
-                     epochs_run=metrics.epochs_run,
-                     wall_seconds=time.monotonic() - start)
+        reason = "numeric"
+    except SpecSearchError:
+        if stage == "train":
+            raise
+        reason = stage
+    else:
+        return FitResult("ok", fitness=fitness, test_accuracy=test_acc,
+                         epochs_run=metrics.epochs_run,
+                         wall_seconds=time.monotonic() - start)
+    return FitResult("discarded", reason=reason, wall_seconds=time.monotonic() - start)
 
 
 def _score_worker(conn, program_text, graph, split, cfg):
@@ -234,7 +237,8 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=4):
     """Score many programs concurrently; results come back in submission order.
 
     Each job runs in its own process; jobs that exceed cfg.timeout_seconds are
-    terminated and reported as discarded(timeout).
+    terminated and reported as discarded(timeout), and a process that exits
+    without sending a result is reported as discarded(crash).
     """
     ctx = mp.get_context("fork")
     results = [None] * len(texts)
@@ -259,18 +263,12 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=4):
         for i in list(pending):
             proc, conn, started = pending[i]
             elapsed = time.monotonic() - started
-            if conn.poll():
+            if conn.poll() or not proc.is_alive():
                 try:
                     results[i] = conn.recv()
-                except EOFError:
-                    results[i] = FitResult("discarded", reason="numeric",
+                except EOFError:    # the worker exited without sending a result
+                    results[i] = FitResult("discarded", reason="crash",
                                            wall_seconds=elapsed)
-                proc.join()
-                conn.close()
-                del pending[i]
-            elif not proc.is_alive() and not conn.poll():
-                results[i] = FitResult("discarded", reason="numeric",
-                                       wall_seconds=elapsed)
                 proc.join()
                 conn.close()
                 del pending[i]

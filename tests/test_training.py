@@ -1,11 +1,25 @@
 """Model assembly, the training loop, and fitness scoring with timeouts."""
 
+import os
+
 import numpy as np
 import pytest
 
 from specsearch import dsl, graphs, training
 
 from conftest import OVERSIZED_PROGRAM
+
+
+LABEL_PROGRAM = """
+mechanism m {
+  consts { K = 2; }
+  params { W: matrix(h, h)[K] = glorot; }
+  graph { A = sym_norm(c=1); }
+  init { Z = X; }
+  step { Z = spmm(A, Z) @ W[k]; }
+  out { Y = Z; }
+}
+"""
 
 
 def one_hot_graph(n=60, c=3, seed=0):
@@ -128,6 +142,31 @@ class TestScoring:
         g, split, cfg = scored_setup
         res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
         assert res.status == "discarded" and res.reason == "internal"
+
+    def test_worker_exit_without_result_is_crash(self, scored_setup, monkeypatch):
+        monkeypatch.setattr(training, "_score_impl", lambda *args: os._exit(3))
+        g, split, cfg = scored_setup
+        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        assert res.status == "discarded" and res.reason == "crash"
+
+    @pytest.mark.parametrize("old, new, reason", [
+        ("W[k]", "W[k + 1]", "compile"),          # W[3] of a 2-long array
+        ("W[k]", "W[k / 2 + 0.5]", "compile"),    # W[1.5] at k = 2
+        ("Y = Z;", "Y = Z * (2 @ 3);", "shape"),
+        ("Y = Z;", "Y = Z * pow(0 - 2, 0.5);", "numeric"),
+        ("Y = Z;", "Y = Z * pow(10, 400);", "numeric"),
+        ("Y = Z;", "Y = Z * 1e400;", "parse"),
+        ("c=1", "c=-1", "parse"),
+        ("K = 2", "K = 1e400", "parse"),
+        ("matrix(h, h)", "matrix(h, 1e3)", "parse"),
+        ("W[k]", "W[relu(k)]", "shape"),          # relu of a scalar is a 1x1 tensor
+    ])
+    def test_malformed_program_label(self, scored_setup, old, new, reason):
+        text = LABEL_PROGRAM.replace(old, new)
+        assert text != LABEL_PROGRAM
+        g, split, cfg = scored_setup
+        res = training.score_individual(text, g, split, cfg)
+        assert res.status == "discarded" and res.reason == reason
 
     def test_timeout_discard(self):
         g = graphs.gen_synthetic(200, 3, 0.8, 8.0, 10, 1.0, seed=1)
