@@ -125,12 +125,6 @@ class _Checker:
             idx = self.infer(e.index)
             if idx != NUM:
                 raise ShapeMismatch(f"array index must be a compile-time scalar{_span(e)}")
-            if isinstance(e.index, Num):
-                v = e.index.value
-                if v != int(v) or not 1 <= int(v) <= self.arrays[e.name]:
-                    raise ShapeMismatch(
-                        f"index {v:g} out of range 1..{self.arrays[e.name]} "
-                        f"for {e.name!r}{_span(e)}")
             return ("mat",) + self.param_shapes[e.name]
         if isinstance(e, Unary):
             return self.infer(e.operand)

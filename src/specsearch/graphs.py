@@ -37,11 +37,23 @@ class LaplacianVariant:
             raise ValueError(f"self_loop_weight must be finite and >= 0, got {c}")
 
 
+def _canonical_edges(pairs, n):
+    """Unique pairs of an (m, 2) array with endpoints in [0, n), as rows u < v in
+    lexicographic order, and how often each occurs (mirrored pairs count as one)."""
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    # hi < n, so the order of lo * n + hi is the lexicographic order of (lo, hi)
+    keys, counts = np.unique(lo * n + hi, return_counts=True)
+    return np.stack(np.divmod(keys, n), axis=1), counts
+
+
 class Graph:
     """Immutable undirected graph with dense node features and integer labels.
 
-    Edges are stored once per unordered pair, deduplicated, with no self-loops.
-    Self-loops only appear inside operators built from the graph.
+    `edges` is a read-only (m, 2) int64 array with one row (u, v), u < v, per
+    unordered pair, rows in lexicographic order. The constructor takes any
+    sequence of pairs and rejects out-of-range endpoints, self-loops and
+    duplicates (mirrors included); `load_dataset` drops self-loops and mirrored
+    duplicates from a file. Self-loops only appear inside operators.
     """
 
     def __init__(self, num_nodes, num_classes, edges, features, labels, name="graph",
@@ -56,24 +68,21 @@ class Graph:
             raise ValueError(f"labels must have length {num_nodes}")
         if num_nodes and (labels.min() < 0 or labels.max() >= num_classes):
             raise ValueError("label out of range")
-        seen = set()
-        canon = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop not allowed in storage: ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate undirected edge: ({u}, {v})")
-            seen.add(key)
-            canon.append(key)
-        canon.sort()
+        edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        bad = ((edges < 0) | (edges >= num_nodes)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"edge endpoint out of range: {edges[bad][0].tolist()}")
+        bad = edges[:, 0] == edges[:, 1]
+        if bad.any():
+            raise ValueError(f"self-loop not allowed in storage: {edges[bad][0].tolist()}")
+        canon, counts = _canonical_edges(edges, num_nodes)
+        if len(canon) < len(edges):
+            raise ValueError(f"duplicate undirected edge: {canon[counts > 1][0].tolist()}")
+        canon.setflags(write=False)
         self.num_nodes = int(num_nodes)
         self.num_classes = int(num_classes)
         self.num_features = int(features.shape[1])
-        self.edges = tuple(canon)
+        self.edges = canon
         self.features = features
         self.features.setflags(write=False)
         self.labels = labels
@@ -81,16 +90,12 @@ class Graph:
         self.name = name
         self.splits = splits
 
-    def degrees(self):
-        ends = np.asarray(self.edges, dtype=np.int64).ravel()
-        return np.bincount(ends, minlength=self.num_nodes).astype(np.float64)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
         return (self.num_nodes == other.num_nodes
                 and self.num_classes == other.num_classes
-                and self.edges == other.edges
+                and np.array_equal(self.edges, other.edges)
                 and np.array_equal(self.features, other.features)
                 and np.array_equal(self.labels, other.labels)
                 and self.name == other.name)
@@ -128,10 +133,6 @@ class SparseOp:
         self.row, self.col, self.val = row, col, val
         self._csr = None
 
-    @property
-    def nnz(self):
-        return self.val.size
-
     def to_csr(self):
         if self._csr is None:
             self._csr = sp.csr_matrix((self.val, (self.row, self.col)),
@@ -152,7 +153,7 @@ def _coo_with_loops(graph, c):
     prune_mean_std's mean, std and sum round in this order.
     """
     n = graph.num_nodes
-    u, v = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    u, v = graph.edges.T
     row, col = np.concatenate([u, v]), np.concatenate([v, u])
     val = np.ones(row.size)
     if c > 0:
@@ -229,20 +230,21 @@ def build_operator(graph, variant):
     raise ValueError(f"unhandled variant {kind}")
 
 
-def prune_mean_std(graph, self_loop_weight, epsilon=1e-10):
+_PRUNE_EPSILON = 1e-10
+
+
+def prune_mean_std(graph, self_loop_weight):
     """Threshold A + cI at (mean - std) over its nonzero entries, then normalize globally.
 
     Entries below the threshold are dropped; survivors are divided by
-    (sum of all nonzero entries of A + cI) + epsilon.
+    (sum of all nonzero entries of A + cI) + 1e-10.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
     n = graph.num_nodes
     row, col, val, _ = _coo_with_loops(graph, float(self_loop_weight))
     if not val.size:
         return SparseOp(n, n, [], [], [])
     keep = val >= val.mean() - val.std()
-    kept = val[keep] / (val.sum() + epsilon)
+    kept = val[keep] / (val.sum() + _PRUNE_EPSILON)
     return _nonzero_op(sp.coo_matrix((kept, (row[keep], col[keep])), (n, n)))
 
 
@@ -370,10 +372,9 @@ def gen_synthetic(n, classes, homophily, avg_degree, feature_dim, signal, seed):
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: np.ndarray
-    operator_kind: LaplacianVariant = None
 
 
-def eig_operator(op, operator_kind=None):
+def eig_operator(op):
     """Dense eigendecomposition oracle for small symmetric operators (n <= 512)."""
     if op.rows != op.cols:
         raise ValueError("operator must be square")
@@ -383,7 +384,7 @@ def eig_operator(op, operator_kind=None):
     if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-9:
         raise SpecSearchError("operator is not symmetric within 1e-9")
     eigs = np.linalg.eigvalsh(dense)
-    return SpectrumReport(eigenvalues=np.sort(eigs), operator_kind=operator_kind)
+    return SpectrumReport(eigenvalues=np.sort(eigs))
 
 
 # -- dataset JSON I/O ----------------------------------------------------------
@@ -399,7 +400,7 @@ def save_dataset(graph, path):
         "num_nodes": graph.num_nodes,
         "num_classes": graph.num_classes,
         "feature_dim": graph.num_features,
-        "edges": [[u, v] for u, v in graph.edges],
+        "edges": graph.edges.tolist(),
         "features": graph.features.tolist(),
         "labels": graph.labels.tolist(),
     }
@@ -421,34 +422,34 @@ def load_dataset(path):
             raise DatasetFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetFormatError("top level: expected an object")
-    for key in ("name", "num_nodes", "num_classes", "feature_dim",
-                "edges", "features", "labels"):
+    for key, kind in (("name", str), ("num_nodes", int), ("num_classes", int),
+                      ("feature_dim", int), ("edges", list), ("features", list), ("labels", list)):
         if key not in doc:
             raise DatasetFormatError(f"{key}: missing required field")
-    n = doc["num_nodes"]
-    nc = doc["num_classes"]
-    fd = doc["feature_dim"]
-    if not isinstance(n, int) or n < 0:
-        raise DatasetFormatError("num_nodes: expected non-negative integer")
+        x = doc[key]
+        if not isinstance(x, kind) or isinstance(x, bool) or (kind is int and x < 0):
+            what = "non-negative int" if kind is int else kind.__name__
+            raise DatasetFormatError(f"{key}: expected a {what}")
+    n, nc, fd = doc["num_nodes"], doc["num_classes"], doc["feature_dim"]
 
-    edges = set()
-    for i, pair in enumerate(doc["edges"]):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise DatasetFormatError(f"edges[{i}]: expected a pair")
-        u, v = pair
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise DatasetFormatError(f"edges[{i}]: endpoints must be integers")
-        if not (0 <= u < n and 0 <= v < n):
-            raise DatasetFormatError(f"edges[{i}]: endpoint out of range for {n} nodes")
-        if u == v:
-            continue  # self-loops dropped on load; operators re-add them explicitly
-        edges.add((u, v) if u < v else (v, u))
+    try:
+        # np.array([]) would be a 1-d float array
+        edges = np.array(doc["edges"] or np.zeros((0, 2), dtype=np.int64))
+    except ValueError:  # ragged nesting
+        edges = None
+    if edges is None or edges.dtype.kind not in "iu" or edges.shape[1:] != (2,):
+        raise DatasetFormatError("edges: expected a list of [u, v] integer pairs")
+    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"edges[{bad[0]}]: endpoint out of range for {n} nodes")
+    # self-loops dropped on load; operators re-add them explicitly
+    edges, _ = _canonical_edges(edges[edges[:, 0] != edges[:, 1]], n)
 
     feats = doc["features"]
     if len(feats) != n:
         raise DatasetFormatError(f"features: expected {n} rows, got {len(feats)}")
     for i, rowvals in enumerate(feats):
-        if len(rowvals) != fd:
+        if not isinstance(rowvals, list) or len(rowvals) != fd:
             raise DatasetFormatError(f"features[{i}]: expected {fd} values")
         for j, x in enumerate(rowvals):
             if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
@@ -462,11 +463,13 @@ def load_dataset(path):
             raise DatasetFormatError(f"labels[{i}]: expected integer in [0, {nc})")
 
     splits = None
-    if "splits" in doc and doc["splits"] is not None:
+    if doc.get("splits") is not None:
         sdoc = doc["splits"]
+        if not isinstance(sdoc, dict):
+            raise DatasetFormatError("splits: expected an object")
         for part in ("train", "val", "test"):
-            if part not in sdoc:
-                raise DatasetFormatError(f"splits.{part}: missing")
+            if not isinstance(sdoc.get(part), list):
+                raise DatasetFormatError(f"splits.{part}: expected a list")
             for i, idx in enumerate(sdoc[part]):
                 if not isinstance(idx, int) or not 0 <= idx < n:
                     raise DatasetFormatError(f"splits.{part}[{i}]: index out of range")
@@ -476,7 +479,7 @@ def load_dataset(path):
             raise DatasetFormatError(f"splits: {exc}") from exc
 
     try:
-        return Graph(n, nc, sorted(edges), np.array(feats, dtype=np.float64).reshape(n, fd),
+        return Graph(n, nc, edges, np.array(feats, dtype=np.float64).reshape(n, fd),
                      labels, name=doc["name"], splits=splits)
     except ValueError as exc:
         raise DatasetFormatError(str(exc)) from exc

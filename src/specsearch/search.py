@@ -142,8 +142,7 @@ def init_population(seed_names, graph, split, train_cfg, pool_size=4,
     archive = EliteArchive(capacity=capacity)
     records = []
     for i, (name, text, res) in enumerate(zip(names, texts, results)):
-        rec = {"id": i, "op": "seed", "status": "ok" if res.ok else res.reason,
-               "fitness": res.fitness, "wall_seconds": round(res.wall_seconds, 3)}
+        rec = {"id": i, "op": "seed", **res.to_dict()}
         records.append(rec)
         if res.ok:
             archive.add(Individual(id=i, ideas=builtin_ideas(name),
@@ -198,8 +197,7 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
             continue
         ind = Individual(id=cid, ideas=ideas, program_text=program_text,
                          origin=resp.op_kind, generation_born=gen_index)
-        rec = {"id": cid, "op": resp.op_kind, "status": None,
-               "fitness": None, "wall_seconds": 0.0}
+        rec = {"id": cid, "op": resp.op_kind}    # scoring fills in the rest
         candidates.append((rec, ind))
         to_evaluate.append(len(candidates) - 1)
     texts = [candidates[i][1].program_text for i in to_evaluate]
@@ -207,9 +205,7 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
                                       pool_size=search_cfg.pool_size)
     for i, res in zip(to_evaluate, results):
         rec, ind = candidates[i]
-        rec["status"] = "ok" if res.ok else res.reason
-        rec["fitness"] = res.fitness
-        rec["wall_seconds"] = round(res.wall_seconds, 3)
+        rec.update(res.to_dict())
         if res.ok:
             ind.fitness = res.fitness
             ind.test_accuracy = res.test_accuracy

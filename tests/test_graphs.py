@@ -1,5 +1,7 @@
 """Graph container, operators, splits, synthetic generation, and dataset I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ def random_graph(n, p, seed, num_classes=2, feature_dim=4):
 class TestGraph:
     def test_edges_canonicalized(self):
         g = graphs.Graph(3, 2, [(2, 1), (1, 0)], np.zeros((3, 2)), [0, 1, 0])
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_edges_read_only(self):
+        g = graphs.Graph(3, 2, [(0, 1)], np.zeros((3, 2)), [0, 1, 0])
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -43,9 +51,6 @@ class TestGraph:
         x[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             graphs.Graph(2, 2, [], x, [0, 1])
-
-    def test_degrees(self, p3):
-        assert p3.degrees().tolist() == [1.0, 2.0, 1.0]
 
 
 class TestBuildOperator:
@@ -167,10 +172,6 @@ class TestPruneMeanStd:
             assert m.min() >= 0.0
             assert m.sum() <= 1.0 + 1e-9
 
-    def test_rejects_bad_epsilon(self, p3):
-        with pytest.raises(ValueError):
-            graphs.prune_mean_std(p3, 1.0, epsilon=0.0)
-
 
 class TestSplit:
     def test_cora_sparse_counts(self):
@@ -259,6 +260,10 @@ class TestEigOperator:
             graphs.eig_operator(op)
 
 
+VALID_DOC = {"name": "x", "num_nodes": 3, "num_classes": 2, "feature_dim": 1,
+             "edges": [[0, 1]], "features": [[0.0], [0.0], [0.0]], "labels": [0, 1, 0]}
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, small_graph):
         path = tmp_path / "g.json"
@@ -291,7 +296,36 @@ class TestDatasetIO:
             ' "edges": [[1, 2], [2, 1]], "features": [[0.0], [0.0], [0.0]],'
             ' "labels": [0, 1, 0]}')
         g = graphs.load_dataset(path)
-        assert g.edges == ((1, 2),)
+        assert g.edges.tolist() == [[1, 2]]
+
+    def test_self_loops_dropped(self, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(dict(VALID_DOC, edges=[[0, 0], [0, 1]])))
+        assert graphs.load_dataset(path).edges.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1.5]], [[0, "1"]], [[0, 1, 2]], [[0]], [0, 1], [[0, None]],
+        [[0, 1], [2]],
+    ])
+    def test_rejects_malformed_edge_entries(self, tmp_path, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(VALID_DOC, edges=edges)))
+        with pytest.raises(DatasetFormatError, match="edges"):
+            graphs.load_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("edges", 5), ("edges", None),
+        ("features", 5), ("features", None),
+        ("labels", 5), ("labels", None),
+        ("num_classes", "2"), ("num_classes", None),
+        ("feature_dim", None), ("feature_dim", -1),
+        ("splits", 5), ("splits", {"train": 5, "val": [1], "test": [2]}),
+    ])
+    def test_rejects_malformed_field(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(VALID_DOC, **{field: value})))
+        with pytest.raises(DatasetFormatError, match=field):
+            graphs.load_dataset(path)
 
     def test_rejects_nan_feature(self, tmp_path):
         path = tmp_path / "nan.json"

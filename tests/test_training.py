@@ -160,6 +160,9 @@ class TestScoring:
         ("K = 2", "K = 1e400", "parse"),
         ("matrix(h, h)", "matrix(h, 1e3)", "parse"),
         ("W[k]", "W[relu(k)]", "shape"),          # relu of a scalar is a 1x1 tensor
+        ("W[k]", "W[3]", "compile"),              # literal indices resolve in the compiler too
+        ("W[k]", "W[0]", "compile"),
+        ("W[k]", "W[1.5]", "compile"),
     ])
     def test_malformed_program_label(self, scored_setup, old, new, reason):
         text = LABEL_PROGRAM.replace(old, new)
