@@ -67,6 +67,13 @@ def _write_manifest(out, manifest):
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _scoring_record(pool_size):
+    """How candidates are scored: the worker pool size and the BLAS pin symbol."""
+    set_threads = training.blas_set_num_threads()
+    return {"pool_size": pool_size,
+            "blas_pin": set_threads.__name__ if set_threads is not None else None}
+
+
 def _train_cfg_from(args, base=None):
     cfg = dict(base or {})
     if getattr(args, "timeout_secs", None) is not None:
@@ -132,6 +139,7 @@ def cmd_search(args):
         "command": "search", "version": __version__, "dataset": str(dataset),
         "split": split_spec, "seed": seed, "backend": backend_desc,
         "train": train_cfg.to_dict(), "search": search_cfg.to_dict(),
+        "scoring": _scoring_record(search_cfg.pool_size),
     })
     report = search.run_search(graph, split, search_cfg, train_cfg, backend,
                                out_dir=out, log=lambda m: print(m, file=sys.stderr))
@@ -174,7 +182,7 @@ def _matrix_rows(mech_specs, dataset_paths, args):
     return [["mechanism"] + [n for n, _ in datasets]] + rows
 
 
-def _emit_csv(rows, args, command):
+def _emit_csv(rows, args, command, **manifest_extra):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = buf.getvalue()
@@ -182,7 +190,8 @@ def _emit_csv(rows, args, command):
         out = _prepare_out_dir(args.out_dir, args.force)
         _write_manifest(out, {"command": command, "version": __version__,
                               "args": {k: v for k, v in vars(args).items()
-                                       if k != "func" and v is not None}})
+                                       if k != "func" and v is not None},
+                              **manifest_extra})
         (out / f"{command}.csv").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
@@ -206,7 +215,7 @@ def cmd_bench(args):
         rows.append([name, "ok" if res.ok else res.reason,
                      f"{res.fitness:.4f}" if res.ok else "",
                      f"{res.test_accuracy:.4f}" if res.ok and res.test_accuracy is not None else ""])
-    _emit_csv(rows, args, "bench")
+    _emit_csv(rows, args, "bench", scoring=_scoring_record(args.pool_size))
     return 0
 
 
@@ -280,7 +289,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="evaluate the full builtin corpus")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--pool-size", type=int, default=4, dest="pool_size")
+    p.add_argument("--pool-size", type=int, default=training.USABLE_CORES, dest="pool_size")
     common(p)
     p.set_defaults(func=cmd_bench)
 

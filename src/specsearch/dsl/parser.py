@@ -27,6 +27,11 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 K_MAX = 16
+# Bounds on hostile input. Parsing recurses once per bracket, and printing,
+# checking and compiling once per level of an expression tree, so both depths
+# are capped well below Python's recursion limit.
+MAX_TEXT_CHARS = 32_768
+MAX_DEPTH = 64
 
 
 class _Tok:
@@ -69,6 +74,7 @@ class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -96,6 +102,15 @@ class _Parser:
 
     def at(self, text):
         return self.peek().text == text
+
+    def nested_expr(self):
+        """An expression inside brackets: parentheses, call arguments or an index."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"brackets nested more than {MAX_DEPTH} deep")
+        e = self.expr()
+        self.depth -= 1
+        return e
 
     # -- grammar ---------------------------------------------------------
 
@@ -290,16 +305,19 @@ class _Parser:
         return left
 
     def unary(self):
-        if self.at("-"):
-            t = self.next()
-            return Unary(op="-", operand=self.unary(), pos=(t.line, t.col))
-        return self.postfix()
+        signs = []
+        while self.at("-"):
+            signs.append(self.next())
+        e = self.postfix()
+        for t in reversed(signs):
+            e = Unary(op="-", operand=e, pos=(t.line, t.col))
+        return e
 
     def postfix(self):
         a = self.atom()
         if self.at("[") and isinstance(a, Name):
             t = self.next()
-            idx = self.expr()
+            idx = self.nested_expr()
             self.expect("]")
             return Index(name=a.ident, index=idx, pos=(t.line, t.col))
         return a
@@ -315,17 +333,17 @@ class _Parser:
                 self.next()
                 args = []
                 if not self.at(")"):
-                    args.append(self.expr())
+                    args.append(self.nested_expr())
                     while self.at(","):
                         self.next()
-                        args.append(self.expr())
+                        args.append(self.nested_expr())
                 self.expect(")")
                 return Call(fn=t.text, args=tuple(args), pos=(t.line, t.col))
             if t.text in KEYWORDS and t.text != "in":
                 self.fail(f"keyword {t.text!r} cannot appear in an expression", t)
             return Name(ident=t.text, pos=(t.line, t.col))
         if t.text == "(":
-            e = self.expr()
+            e = self.nested_expr()
             self.expect(")")
             return e
         self.fail(f"unexpected token {t.text!r}", t)
@@ -348,6 +366,10 @@ class _Parser:
             if g.name in gseen:
                 self.fail(f"duplicate graph operator {g.name!r}")
             gseen.add(g.name)
+        stmts = prog.init_block + prog.step_block + prog.final_block
+        for target, e in [(st.target, st.expr) for st in stmts] + [("Y", prog.out_expr)]:
+            if _tree_depth(e) > MAX_DEPTH:
+                self.fail(f"expression for {target} is more than {MAX_DEPTH} deep")
         k = prog.const("K")
         needs_k = prog.has_step or any(p.array == "K" for p in prog.params)
         if needs_k and k is None:
@@ -359,8 +381,28 @@ class _Parser:
                 self.fail(f"K exceeds the cap of {K_MAX}")
 
 
+def _tree_depth(e):
+    """Nodes on the longest root-to-leaf path of an expression, counted without
+    recursion."""
+    depth, stack = 0, [(e, 1)]
+    while stack:
+        e, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(e, Bin):
+            stack += [(e.left, d + 1), (e.right, d + 1)]
+        elif isinstance(e, Unary):
+            stack.append((e.operand, d + 1))
+        elif isinstance(e, Index):
+            stack.append((e.index, d + 1))
+        elif isinstance(e, Call):
+            stack += [(a, d + 1) for a in e.args]
+    return depth
+
+
 def parse(text):
     """Parse DSL source into a Program AST."""
     if not isinstance(text, str):
         raise DslSyntaxError("program text must be a string")
+    if len(text) > MAX_TEXT_CHARS:
+        raise DslSyntaxError(f"program text longer than {MAX_TEXT_CHARS} characters")
     return _Parser(text).program()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -390,6 +392,11 @@ def eig_operator(op):
 # -- dataset JSON I/O ----------------------------------------------------------
 
 
+def _is_finite_number(x):
+    # an int or float (not a bool) that float64 holds as a finite value
+    return type(x) in (int, float) and -sys.float_info.max <= x <= sys.float_info.max
+
+
 def _reject_special(token):
     raise DatasetFormatError(f"non-finite number token {token!r} in dataset file")
 
@@ -451,16 +458,26 @@ def load_dataset(path):
     for i, rowvals in enumerate(feats):
         if not isinstance(rowvals, list) or len(rowvals) != fd:
             raise DatasetFormatError(f"features[{i}]: expected {fd} values")
-        for j, x in enumerate(rowvals):
-            if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
-                raise DatasetFormatError(f"features[{i}][{j}]: expected a finite number")
+    # Whole-array checks first; the value-by-value scan only runs to name the
+    # first bad value. Exact types, because np.array turns a bool into 0.0/1.0.
+    features = None
+    if set(map(type, itertools.chain.from_iterable(feats))) <= {int, float}:
+        try:
+            features = np.array(feats, dtype=np.float64).reshape(n, fd)
+        except OverflowError:  # an integer beyond float64
+            pass
+    if features is None or not np.isfinite(features).all():
+        i, j = next((i, j) for i, rowvals in enumerate(feats)
+                    for j, x in enumerate(rowvals) if not _is_finite_number(x))
+        raise DatasetFormatError(f"features[{i}][{j}]: expected a finite number")
 
     labels = doc["labels"]
     if len(labels) != n:
         raise DatasetFormatError(f"labels: expected {n} values, got {len(labels)}")
-    for i, y in enumerate(labels):
-        if not isinstance(y, int) or not 0 <= y < nc:
-            raise DatasetFormatError(f"labels[{i}]: expected integer in [0, {nc})")
+    if (not set(map(type, labels)) <= {int}
+            or labels and not 0 <= min(labels) <= max(labels) < nc):
+        i = next(i for i, y in enumerate(labels) if type(y) is not int or not 0 <= y < nc)
+        raise DatasetFormatError(f"labels[{i}]: expected integer in [0, {nc})")
 
     splits = None
     if doc.get("splits") is not None:
@@ -471,7 +488,7 @@ def load_dataset(path):
             if not isinstance(sdoc.get(part), list):
                 raise DatasetFormatError(f"splits.{part}: expected a list")
             for i, idx in enumerate(sdoc[part]):
-                if not isinstance(idx, int) or not 0 <= idx < n:
+                if type(idx) is not int or not 0 <= idx < n:
                     raise DatasetFormatError(f"splits.{part}[{i}]: index out of range")
         try:
             splits = Split.unchecked(sdoc["train"], sdoc["val"], sdoc["test"])
@@ -479,7 +496,6 @@ def load_dataset(path):
             raise DatasetFormatError(f"splits: {exc}") from exc
 
     try:
-        return Graph(n, nc, edges, np.array(feats, dtype=np.float64).reshape(n, fd),
-                     labels, name=doc["name"], splits=splits)
+        return Graph(n, nc, edges, features, labels, name=doc["name"], splits=splits)
     except ValueError as exc:
         raise DatasetFormatError(str(exc)) from exc

@@ -87,7 +87,7 @@ class SearchConfig:
     parallel_responses: int = 4
     prompt_ops: tuple = ("E1", "E2", "C1")
     archive_capacity: int = 30
-    pool_size: int = 4
+    pool_size: int = training.USABLE_CORES
     seed: int = 0
     seed_programs: tuple = SEED_NAMES
 
@@ -132,8 +132,8 @@ def select_for_prompt(archive, op_kind, P, rng):
     return [members[int(i)] for i in top_idx] + [members[int(i)] for i in rest_idx]
 
 
-def init_population(seed_names, graph, split, train_cfg, pool_size=4,
-                    capacity=30, log=None):
+def init_population(seed_names, graph, split, train_cfg,
+                    pool_size=training.USABLE_CORES, capacity=30, log=None):
     """Evaluate the classic seed programs and build the initial archive."""
     names = list(dict.fromkeys(seed_names))
     texts = [builtin(name) for name in names]

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing as mp
+import os
 import time
 from multiprocessing import connection
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import dsl
 from .errors import NumericalError, SpecSearchError
+
+# CPUs this process may run on when the module is imported: the default
+# number of scoring workers.
+USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 
 @dataclass
@@ -216,7 +225,42 @@ def _score_impl(program_text, graph, split, cfg):
     return FitResult("discarded", reason=reason, wall_seconds=time.monotonic() - start)
 
 
-def _score_worker(conn, program_text, graph, split, cfg):
+@functools.cache
+def blas_set_num_threads():
+    """numpy's OpenBLAS `set_num_threads` entry point, or None when there is none.
+
+    The symbol name follows numpy's build config: `scipy-openblas` built with
+    USE64BITINT exports `scipy_openblas_set_num_threads64_`, plain OpenBLAS
+    `openblas_set_num_threads`. The library is looked up next to numpy (where
+    its wheels bundle it) and in the configured lib directory; loading the file
+    numpy already loaded returns numpy's own copy. MKL, Accelerate, a numpy
+    without `show_config(mode=...)` and any library or symbol not found give
+    None.
+    """
+    numpy_dir = Path(np.__file__).parent
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        prefix = {"scipy-openblas": "scipy_openblas_", "openblas": "openblas_"}[blas["name"]]
+        suffix = "64_" if "USE64BITINT" in blas["openblas configuration"] else ""
+        dirs = [numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs",
+                Path(blas["lib directory"])]
+    except (TypeError, KeyError):
+        return None
+    symbol = f"{prefix}set_num_threads{suffix}"
+    for path in (p for d in dirs if d.is_dir() for p in sorted(d.glob("*openblas*"))):
+        try:
+            set_num_threads = getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError):
+            continue
+        set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+        return set_num_threads
+    return None
+
+
+def _score_worker(conn, program_text, graph, split, cfg, set_blas_threads):
+    # One BLAS thread per worker: the pool already runs a worker per core.
+    if set_blas_threads is not None:
+        set_blas_threads(1)
     try:
         result = _score_impl(program_text, graph, split, cfg)
     except Exception:
@@ -233,7 +277,7 @@ def score_individual(program_text, graph, split, cfg):
     return results[0]
 
 
-def evaluate_batch(texts, graph, split, cfg, pool_size=4):
+def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
     """Score many programs concurrently; results come back in submission order.
 
     Each job runs in its own process; jobs that exceed cfg.timeout_seconds are
@@ -244,11 +288,13 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=4):
     results = [None] * len(texts)
     pending = {}  # idx -> (process, conn, start_time)
     next_idx = 0
+    set_blas_threads = blas_set_num_threads()  # resolved once, inherited over fork
 
     def launch(i):
         parent, child = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_score_worker,
-                           args=(child, texts[i], graph, split, cfg), daemon=True)
+                           args=(child, texts[i], graph, split, cfg, set_blas_threads),
+                           daemon=True)
         proc.start()
         child.close()
         pending[i] = (proc, parent, time.monotonic())

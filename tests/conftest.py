@@ -144,3 +144,16 @@ OVERSIZED_PROGRAM = (
     "  out { Y = Z; }\n"
     "}\n"
 )
+
+
+NESTING_KINDS = ("brackets", "calls", "sum", "negations")
+
+
+def nested_program(kind, depth):
+    """A valid program whose out expression nests `depth` deep: `depth` pairs of
+    parentheses, or an expression tree `depth` nodes deep."""
+    out = {"brackets": "(" * depth + "Z" + ")" * depth,
+           "calls": "relu(" * (depth - 1) + "Z" + ")" * (depth - 1),
+           "sum": " + ".join(["Z"] * depth),
+           "negations": "-" * (depth - 1) + "Z"}[kind]
+    return f"mechanism m {{ init {{ Z = X; }} out {{ Y = {out}; }} }}"

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, exit codes, and artifacts."""
 
 import json
+import os
 
 import pytest
 
-from specsearch import cli, dsl, graphs
+from specsearch import cli, dsl, graphs, training
 
 from conftest import full_replay_records, make_replay_file
 
@@ -15,6 +16,11 @@ def dataset(tmp_path):
     path = tmp_path / "data.json"
     graphs.save_dataset(g, path)
     return path
+
+
+def blas_pin():
+    setter = training.blas_set_num_threads()
+    return setter.__name__ if setter is not None else None
 
 
 def run(argv):
@@ -127,6 +133,7 @@ class TestSearch:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["search"]["generations"] == 2
         assert manifest["train"]["max_epochs"] == 10
+        assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin()}
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert 0.0 <= summary["best_fitness"] <= 1.0
 
@@ -161,3 +168,9 @@ class TestBench:
         assert lines[0] == "mechanism,status,fitness,test_accuracy"
         assert len(lines) == 14
         assert (out / "bench.csv").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin()}
+
+    def test_pool_size_defaults_to_usable_cores(self, dataset):
+        args = cli.build_parser().parse_args(["bench", "--dataset", str(dataset)])
+        assert args.pool_size == len(os.sched_getaffinity(0))

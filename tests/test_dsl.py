@@ -6,10 +6,11 @@ import pytest
 from specsearch import autodiff as ad
 from specsearch import dsl, graphs
 from specsearch.dsl.corpus import SEARCHED_NAMES, SEED_NAMES
+from specsearch.dsl.parser import MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.errors import (DslSyntaxError, ShapeMismatch, UndeclaredIdentifier,
                                UnknownBuiltin)
 
-from conftest import path_graph
+from conftest import NESTING_KINDS, nested_program, path_graph
 
 DIMS = {"n": 50, "f": 10, "h": 16, "c": 3}
 
@@ -65,6 +66,24 @@ class TestParser:
         a = dsl.parse("mechanism m { # hello\n init { Z = X; } out { Y = Z; } }")
         b = dsl.parse("mechanism m { init { Z = X; } out { Y = Z; } }")
         assert dsl.print_program(a) == dsl.print_program(b)
+
+    @pytest.mark.parametrize("kind", NESTING_KINDS)
+    def test_nesting_at_cap_prints_checks_and_compiles(self, kind):
+        prog = dsl.parse(nested_program(kind, MAX_DEPTH))
+        assert dsl.parse(dsl.print_program(prog)) == prog
+        compile_text(dsl.print_program(prog), path_graph(6))
+
+    @pytest.mark.parametrize("kind", NESTING_KINDS)
+    def test_nesting_over_cap_rejected(self, kind):
+        with pytest.raises(DslSyntaxError, match=str(MAX_DEPTH)):
+            dsl.parse(nested_program(kind, MAX_DEPTH + 1))
+
+    def test_text_length_cap(self):
+        text = "mechanism m { init { Z = X; } out { Y = Z; } }\n#"
+        at_cap = text + "x" * (MAX_TEXT_CHARS - len(text))
+        assert dsl.parse(at_cap) == dsl.parse(text)
+        with pytest.raises(DslSyntaxError, match="characters"):
+            dsl.parse(at_cap + "x")
 
 
 class TestFuzzRoundTrip:

@@ -320,12 +320,47 @@ class TestDatasetIO:
         ("num_classes", "2"), ("num_classes", None),
         ("feature_dim", None), ("feature_dim", -1),
         ("splits", 5), ("splits", {"train": 5, "val": [1], "test": [2]}),
+        ("splits", {"train": [True], "val": [0], "test": [2]}),
     ])
     def test_rejects_malformed_field(self, tmp_path, field, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(VALID_DOC, **{field: value})))
         with pytest.raises(DatasetFormatError, match=field):
             graphs.load_dataset(path)
+
+    @pytest.mark.parametrize("features, locus", [
+        ("[[0.0], [true], [0.0]]", r"features\[1\]\[0\]"),
+        ('[[0.0], [0.0], ["1"]]', r"features\[2\]\[0\]"),
+        ("[[0.0], [null], [0.0]]", r"features\[1\]\[0\]"),
+        ("[[0.0], [1e400], [2.0]]", r"features\[1\]\[0\]"),  # inf after decoding
+        ("[[0.0], [0.0], [1" + "0" * 400 + "]]", r"features\[2\]\[0\]"),  # beyond float64
+    ], ids=["bool", "string", "null", "inf", "huge-int"])
+    def test_rejects_bad_feature_value(self, tmp_path, features, locus):
+        path = tmp_path / "bad.json"
+        text = json.dumps(VALID_DOC)
+        path.write_text(text.replace(json.dumps(VALID_DOC["features"]), features))
+        with pytest.raises(DatasetFormatError, match=locus):
+            graphs.load_dataset(path)
+
+    @pytest.mark.parametrize("labels, locus", [
+        ([0, True, 0], r"labels\[1\]"),
+        ([0, 1, 1.0], r"labels\[2\]"),
+        ([0, 2, 0], r"labels\[1\]"),
+        ([-1, 0, 0], r"labels\[0\]"),
+        ([0, 0, 2 ** 70], r"labels\[2\]"),
+    ], ids=["bool", "float", "too-large", "negative", "huge-int"])
+    def test_rejects_bad_label(self, tmp_path, labels, locus):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(VALID_DOC, labels=labels)))
+        with pytest.raises(DatasetFormatError, match=locus):
+            graphs.load_dataset(path)
+
+    def test_integer_features_load_as_float64(self, tmp_path):
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(dict(VALID_DOC, features=[[1], [2.5], [-3]])))
+        g = graphs.load_dataset(path)
+        assert g.features.dtype == np.float64
+        assert g.features.tolist() == [[1.0], [2.5], [-3.0]]
 
     def test_rejects_nan_feature(self, tmp_path):
         path = tmp_path / "nan.json"

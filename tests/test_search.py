@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -234,3 +235,6 @@ class TestRunSearch:
         assert scfg.P1 == scfg.P2 == scfg.parallel_responses == 4
         assert scfg.archive_capacity == 30
         assert scfg.candidates_per_generation == 12
+
+    def test_default_pool_size_is_usable_cores(self):
+        assert SearchConfig().pool_size == len(os.sched_getaffinity(0))

@@ -1,13 +1,16 @@
 """Model assembly, the training loop, and fitness scoring with timeouts."""
 
+import ctypes
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specsearch import dsl, graphs, training
+from specsearch.dsl.parser import MAX_DEPTH
 
-from conftest import OVERSIZED_PROGRAM
+from conftest import NESTING_KINDS, OVERSIZED_PROGRAM, nested_program
 
 
 LABEL_PROGRAM = """
@@ -171,6 +174,18 @@ class TestScoring:
         res = training.score_individual(text, g, split, cfg)
         assert res.status == "discarded" and res.reason == reason
 
+    def test_deep_nesting_is_parse(self, scored_setup):
+        g, split, cfg = scored_setup
+        text = nested_program("brackets", 1000)
+        res = training.score_individual(text, g, split, cfg)
+        assert res.status == "discarded" and res.reason == "parse"
+
+    @pytest.mark.parametrize("kind", NESTING_KINDS)
+    def test_nesting_at_cap_scores(self, scored_setup, kind):
+        g, split, cfg = scored_setup
+        res = training.score_individual(nested_program(kind, MAX_DEPTH), g, split, cfg)
+        assert res.ok
+
     def test_timeout_discard(self):
         g = graphs.gen_synthetic(200, 3, 0.8, 8.0, 10, 1.0, seed=1)
         split = graphs.make_split(200, (0.2, 0.2, 0.6), labels=g.labels, seed=0)
@@ -198,3 +213,51 @@ class TestScoring:
         a = training.evaluate_batch([text, text], g, split, cfg, pool_size=2)
         b = training.score_individual(text, g, split, cfg)
         assert a[0].fitness == a[1].fitness == b.fitness
+
+
+def _blas_getter(setter):
+    """The `get_num_threads` partner of the resolved setter, from numpy's wheel."""
+    name = setter.__name__.replace("set_num_threads", "get_num_threads")
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        return getattr(ctypes.CDLL(str(path)), name)
+    pytest.skip("numpy's OpenBLAS is not bundled in numpy.libs")
+
+
+class TestBlasPin:
+    def test_worker_runs_one_blas_thread(self, sep_graph, sep_split, monkeypatch):
+        setter = training.blas_set_num_threads()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no set_num_threads entry point")
+        getter = _blas_getter(setter)
+        before = getter()
+        monkeypatch.setattr(training, "_score_impl",
+                            lambda *args: training.FitResult("ok", fitness=getter()))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        assert res[0].fitness == 1
+        assert getter() == before      # only the worker is pinned
+
+    def test_scores_when_nothing_resolves(self, sep_graph, sep_split, monkeypatch):
+        monkeypatch.setattr(training, "blas_set_num_threads", lambda: None)
+        cfg = training.TrainConfig(max_epochs=5, patience=5, hidden=8)
+        res = training.score_individual(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
+        assert res.ok
+
+    @pytest.mark.parametrize("config", [
+        {"Build Dependencies": {"blas": {"name": "mkl-sdl"}}},
+        {"Build Dependencies": {"blas": {"name": "accelerate"}}},
+        {"Build Dependencies": {}},
+        {"Build Dependencies": {"blas": {"name": "openblas", "openblas configuration": "",
+                                         "lib directory": None}}},
+        None,
+    ])
+    def test_resolver_finds_nothing_without_openblas(self, monkeypatch, config):
+        monkeypatch.setattr(np, "show_config", lambda mode: config)
+        assert training.blas_set_num_threads.__wrapped__() is None
+
+    def test_resolver_finds_nothing_on_old_numpy(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)   # no `mode` argument
+        assert training.blas_set_num_threads.__wrapped__() is None
+
+    def test_default_pool_size_is_usable_cores(self):
+        assert training.USABLE_CORES == len(os.sched_getaffinity(0))
