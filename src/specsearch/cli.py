@@ -33,6 +33,26 @@ def _parse_split(text):
     return tuple(parts)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _config(cls, fields):
+    """cls(**fields); an unknown field or a rejected value is a usage error."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _cell(value):
+    """A CSV accuracy cell: four decimals, or empty when there is no value."""
+    return "" if value is None else f"{value:.4f}"
+
+
 def _resolve_mechanism(spec):
     try:
         return spec, dsl.builtin(spec)
@@ -80,7 +100,7 @@ def _train_cfg_from(args, base=None):
         cfg["timeout_seconds"] = args.timeout_secs
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    return training.TrainConfig(**cfg)
+    return _config(training.TrainConfig, cfg)
 
 
 def cmd_search(args):
@@ -113,7 +133,7 @@ def cmd_search(args):
         search_over["seed_programs"] = tuple(search_over["seed_programs"])
     if "prompt_ops" in search_over:
         search_over["prompt_ops"] = tuple(search_over["prompt_ops"])
-    search_cfg = search.SearchConfig(**search_over)
+    search_cfg = _config(search.SearchConfig, search_over)
 
     backend_spec = cfg.get("backend", {})
     if args.replay_file:
@@ -177,7 +197,7 @@ def _matrix_rows(mech_specs, dataset_paths, args):
         for _, graph in datasets:
             split = _make_split(graph, ratios, train_cfg.seed)
             res = training.score_individual(text, graph, split, train_cfg)
-            row.append(f"{res.test_accuracy:.4f}" if res.ok else res.reason)
+            row.append(_cell(res.test_accuracy) if res.ok else res.reason)
         rows.append(row)
     return [["mechanism"] + [n for n, _ in datasets]] + rows
 
@@ -213,8 +233,7 @@ def cmd_bench(args):
     rows = [["mechanism", "status", "fitness", "test_accuracy"]]
     for name, res in zip(builtin_names(), results):
         rows.append([name, "ok" if res.ok else res.reason,
-                     f"{res.fitness:.4f}" if res.ok else "",
-                     f"{res.test_accuracy:.4f}" if res.ok and res.test_accuracy is not None else ""])
+                     _cell(res.fitness), _cell(res.test_accuracy)])
     _emit_csv(rows, args, "bench", scoring=_scoring_record(args.pool_size))
     return 0
 
@@ -289,7 +308,8 @@ def build_parser():
 
     p = sub.add_parser("bench", help="evaluate the full builtin corpus")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--pool-size", type=int, default=training.USABLE_CORES, dest="pool_size")
+    p.add_argument("--pool-size", type=_positive_int, default=training.USABLE_CORES,
+                   dest="pool_size")
     common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DatasetFormatError, NumericalError, SpecSearchError, StratificationInfeasible
+from .errors import DatasetFormatError, SpecSearchError, StratificationInfeasible
 
 
 class Variant(Enum):
@@ -178,30 +178,6 @@ def _nonzero_op(m):
     return SparseOp(m.shape[0], m.shape[1], m.row[keep], m.col[keep], m.data[keep])
 
 
-def _power_iteration_lambda_max(csr, iters=300, rtol=1e-12):
-    """Largest eigenvalue of a symmetric PSD matrix; 2.0 fallback on non-convergence."""
-    if csr.nnz == 0:
-        return 2.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(csr.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    w = csr @ v
-    for _ in range(iters):
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 2.0
-        v = w / nrm
-        w = csr @ v
-        lam_new = float(v @ w)
-        if not math.isfinite(lam_new):
-            raise NumericalError("non-finite eigenvalue estimate in power iteration")
-        if lam != 0.0 and abs(lam_new - lam) < rtol * abs(lam):
-            return lam_new
-        lam = lam_new
-    return 2.0
-
-
 def build_operator(graph, variant):
     """Materialize the n x n operator named by `variant` for `graph`."""
     n = graph.num_nodes
@@ -225,9 +201,7 @@ def build_operator(graph, variant):
     if kind is Variant.SYM_LAPLACIAN:
         return _nonzero_op(lap)
     if kind is Variant.SCALED_LAPLACIAN:
-        lam_max = _power_iteration_lambda_max(lap)
-        # not `lap / lam_max`: scipy multiplies by the reciprocal, which rounds differently
-        lap.data = 2.0 * lap.data / lam_max
+        # 2L/λmax − I with λmax = 2, the bound on the spectrum of L (Kipf & Welling)
         return _nonzero_op(lap - eye)
     raise ValueError(f"unhandled variant {kind}")
 

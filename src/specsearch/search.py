@@ -7,7 +7,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +91,10 @@ class SearchConfig:
     seed: int = 0
     seed_programs: tuple = SEED_NAMES
 
+    def __post_init__(self):
+        if self.pool_size < 1:
+            raise ValueError(f"pool_size must be at least 1, got {self.pool_size}")
+
     @property
     def candidates_per_generation(self):
         return len(self.prompt_ops) * self.parallel_responses
@@ -132,18 +136,55 @@ def select_for_prompt(archive, op_kind, P, rng):
     return [members[int(i)] for i in top_idx] + [members[int(i)] for i in rest_idx]
 
 
+# Outcomes that depend on the machine rather than the program: never memoized.
+_MACHINE_BOUND = ("timeout", "crash")
+
+
+def _score_texts(ids, texts, graph, split, train_cfg, pool_size, memo):
+    """Score candidate texts, training each text not in `memo` once.
+
+    `memo` maps a program's exact text to (candidate id, FitResult) of its
+    first training in this search run; the graph, split and train config are
+    fixed for a run and training is deterministic per seed, so a hit equals a
+    retrain. Returns one (record fields, FitResult) per text; a repeat carries
+    its source's status and fitness, `memo_of` the source id and its own
+    wall_seconds of 0. A memo of None is a fresh one for this call alone.
+    """
+    memo = {} if memo is None else memo
+    batch = {}                              # text -> id of its first candidate
+    for cid, text in zip(ids, texts):
+        if text not in memo:
+            batch.setdefault(text, cid)
+    results = training.evaluate_batch(list(batch), graph, split, train_cfg,
+                                      pool_size=pool_size)
+    fresh = {text: (cid, res) for (text, cid), res in zip(batch.items(), results)}
+    memo.update((text, hit) for text, hit in fresh.items()
+                if hit[1].reason not in _MACHINE_BOUND)
+    scored = []
+    for cid, text in zip(ids, texts):
+        source, res = fresh.get(text) or memo[text]
+        if source == cid:
+            scored.append((res.to_dict(), res))
+        else:
+            scored.append(({**replace(res, wall_seconds=0.0).to_dict(),
+                            "memo_of": source}, res))
+    return scored
+
+
 def init_population(seed_names, graph, split, train_cfg,
-                    pool_size=training.USABLE_CORES, capacity=30, log=None):
-    """Evaluate the classic seed programs and build the initial archive."""
+                    pool_size=training.USABLE_CORES, capacity=30, log=None, memo=None):
+    """Evaluate the classic seed programs and build the initial archive.
+
+    `memo` is the run's fitness memo (see `_score_texts`); None uses a fresh one.
+    """
     names = list(dict.fromkeys(seed_names))
     texts = [builtin(name) for name in names]
-    results = training.evaluate_batch(texts, graph, split, train_cfg,
-                                      pool_size=pool_size)
+    scored = _score_texts(range(len(names)), texts, graph, split, train_cfg,
+                          pool_size, memo)
     archive = EliteArchive(capacity=capacity)
     records = []
-    for i, (name, text, res) in enumerate(zip(names, texts, results)):
-        rec = {"id": i, "op": "seed", **res.to_dict()}
-        records.append(rec)
+    for i, (name, text, (fields, res)) in enumerate(zip(names, texts, scored)):
+        records.append({"id": i, "op": "seed", **fields})
         if res.ok:
             archive.add(Individual(id=i, ideas=builtin_ideas(name),
                                    program_text=text, origin="seed",
@@ -157,9 +198,10 @@ def init_population(seed_names, graph, split, train_cfg,
 
 
 def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
-                   gen_index, rng, next_id, log=None):
+                   gen_index, rng, next_id, log=None, memo=None):
     """One search cycle: prompt, complete, parse, evaluate, merge.
 
+    `memo` is the run's fitness memo (see `_score_texts`); None uses a fresh one.
     Returns (generation_log_dict, next_id).
     """
     basic = bridge.default_basic_content(graph)
@@ -192,20 +234,20 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
         try:
             ideas, program_text = bridge.parse_response(resp)
         except MalformedResponse:
-            candidates.append(({"id": cid, "op": resp.op_kind, "status": "parse",
-                                "fitness": None, "wall_seconds": 0.0}, None))
+            rejected = training.FitResult("discarded", reason="parse")
+            candidates.append(({"id": cid, "op": resp.op_kind, **rejected.to_dict()}, None))
             continue
         ind = Individual(id=cid, ideas=ideas, program_text=program_text,
                          origin=resp.op_kind, generation_born=gen_index)
         rec = {"id": cid, "op": resp.op_kind}    # scoring fills in the rest
         candidates.append((rec, ind))
         to_evaluate.append(len(candidates) - 1)
-    texts = [candidates[i][1].program_text for i in to_evaluate]
-    results = training.evaluate_batch(texts, graph, split, train_cfg,
-                                      pool_size=search_cfg.pool_size)
-    for i, res in zip(to_evaluate, results):
+    scored = _score_texts([candidates[i][1].id for i in to_evaluate],
+                          [candidates[i][1].program_text for i in to_evaluate],
+                          graph, split, train_cfg, search_cfg.pool_size, memo)
+    for i, (fields, res) in zip(to_evaluate, scored):
         rec, ind = candidates[i]
-        rec.update(res.to_dict())
+        rec.update(fields)
         if res.ok:
             ind.fitness = res.fitness
             ind.test_accuracy = res.test_accuracy
@@ -234,12 +276,16 @@ def run_search(graph, split, search_cfg, train_cfg, backend, out_dir=None, log=N
     Artifacts under out_dir: generations.jsonl (one object per generation),
     convergence.csv (gen,best,mean,evaluated_ok; row 0 covers seed init),
     best_program.txt.
+
+    Each distinct program text is trained once per run: repeats reuse the
+    run's fitness memo (see `_score_texts`).
     """
     rng = np.random.default_rng(search_cfg.seed)
+    memo = {}
     archive, seed_records = init_population(
         search_cfg.seed_programs, graph, split, train_cfg,
         pool_size=search_cfg.pool_size, capacity=search_cfg.archive_capacity,
-        log=log)
+        log=log, memo=memo)
     history = [(0, archive.best.fitness, archive.mean_fitness(),
                 sum(1 for r in seed_records if r["status"] == "ok"))]
     gen_logs = []
@@ -247,7 +293,7 @@ def run_search(graph, split, search_cfg, train_cfg, backend, out_dir=None, log=N
     for gen in range(1, search_cfg.generations + 1):
         gen_log, next_id = run_generation(archive, backend, graph, split,
                                           train_cfg, search_cfg, gen, rng,
-                                          next_id, log=log)
+                                          next_id, log=log, memo=memo)
         gen_logs.append(gen_log)
         ok = sum(1 for r in gen_log["candidates"] if r["status"] == "ok")
         history.append((gen, archive.best.fitness, archive.mean_fitness(), ok))

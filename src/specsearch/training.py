@@ -188,7 +188,8 @@ class FitResult:
 
     def to_dict(self):
         return {"status": self.status if self.ok else self.reason,
-                "fitness": self.fitness, "wall_seconds": round(self.wall_seconds, 3)}
+                "fitness": self.fitness, "epochs_run": self.epochs_run,
+                "wall_seconds": round(self.wall_seconds, 3)}
 
 
 def _score_impl(program_text, graph, split, cfg):

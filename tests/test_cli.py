@@ -108,6 +108,14 @@ class TestXeval:
                 assert 0.0 <= float(cell) <= 1.0
 
 
+    def test_empty_test_split_gives_empty_cells(self, dataset, capsys):
+        code = run(["xeval", "--datasets", dataset, "--mechanisms", "gcn,appnp",
+                    "--split", "0.5,0.5,0"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == ["mechanism,data", "gcn,", "appnp,"]
+
+
 class TestSearch:
     def write_config(self, tmp_path, dataset, replay):
         cfg = {
@@ -148,6 +156,29 @@ class TestSearch:
         assert code == 2
         assert "force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("search_cfg, message", [
+        ({"pool_size": 0}, "pool_size must be at least 1"),
+        ({"pool": 2}, "unexpected keyword argument 'pool'"),
+    ])
+    def test_bad_search_config_is_usage_error(self, dataset, tmp_path, capsys,
+                                              search_cfg, message):
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        path = self.write_config(tmp_path, dataset, replay)
+        cfg = json.loads(path.read_text())
+        cfg["search"].update(search_cfg)
+        path.write_text(json.dumps(cfg))
+        assert run(["search", "--config", path, "--out-dir", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_train_config_is_usage_error(self, dataset, tmp_path, capsys):
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        cfg = self.write_config(tmp_path, dataset, replay)
+        assert run(["search", "--config", cfg, "--out-dir", tmp_path / "run",
+                    "--timeout-secs", "0"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: timeout")
+
     def test_generations_flag_overrides_config(self, dataset, tmp_path, capsys):
         replay = make_replay_file(tmp_path, full_replay_records(1))
         cfg = self.write_config(tmp_path, dataset, replay)
@@ -170,6 +201,12 @@ class TestBench:
         assert (out / "bench.csv").exists()
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin()}
+
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_pool_size_below_one_is_usage_error(self, dataset, capsys, size):
+        assert run(["bench", "--dataset", dataset, "--split", "30,20,50",
+                    "--pool-size", size]) == 1
+        assert "usage error: argument --pool-size" in capsys.readouterr().err
 
     def test_pool_size_defaults_to_usable_cores(self, dataset):
         args = cli.build_parser().parse_args(["bench", "--dataset", str(dataset)])

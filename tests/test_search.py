@@ -178,6 +178,83 @@ class TestRunGeneration:
         assert archive.best.fitness >= before
 
 
+def spy_on_batches(monkeypatch, fake=None):
+    """Record the texts of every evaluate_batch call; `fake` replaces its results."""
+    sent = []
+    real = training.evaluate_batch
+
+    def spy(texts, *args, **kwargs):
+        sent.append(list(texts))
+        if fake is not None:
+            return [fake for _ in texts]
+        return real(texts, *args, **kwargs)
+
+    monkeypatch.setattr(search.training, "evaluate_batch", spy)
+    return sent
+
+
+class TestFitnessMemo:
+    GCN_EVERYWHERE = {(gen, op, s): wrap_response(dsl.builtin("gcn"))
+                      for gen in (1, 2) for op in ("E1", "E2", "C1") for s in range(4)}
+
+    def seeded(self, search_env, tmp_path, generations=1):
+        g, split, tcfg = search_env
+        scfg = SearchConfig(generations=generations, pool_size=4, seed=0)
+        archive, _ = search.init_population(scfg.seed_programs, g, split, tcfg)
+        path = make_replay_file(tmp_path, full_replay_records(
+            generations, override=self.GCN_EVERYWHERE))
+        return archive, bridge.ReplayBackend(path), scfg
+
+    def test_repeated_proposal_trained_once(self, search_env, tmp_path, monkeypatch):
+        g, split, tcfg = search_env
+        archive, backend, scfg = self.seeded(search_env, tmp_path)
+        sent = spy_on_batches(monkeypatch)
+        gen_log, _ = search.run_generation(archive, backend, g, split, tcfg, scfg, 1,
+                                           np.random.default_rng(0), next_id=4)
+        assert sent == [[dsl.builtin("gcn").strip()]]
+        first, *repeats = gen_log["candidates"]
+        assert len(repeats) == 11 and "memo_of" not in first
+        assert all(r["memo_of"] == first["id"] for r in repeats)
+        assert all(r["status"] == "ok" and r["wall_seconds"] == 0.0 for r in repeats)
+        assert {r["fitness"] for r in gen_log["candidates"]} == {first["fitness"]}
+        assert {r["epochs_run"] for r in gen_log["candidates"]} == {first["epochs_run"]}
+
+    @pytest.mark.parametrize("reason, resent", [("timeout", True), ("crash", True),
+                                                ("numeric", False)])
+    def test_machine_bound_outcomes_resent(self, search_env, tmp_path, monkeypatch,
+                                           reason, resent):
+        g, split, tcfg = search_env
+        archive, backend, scfg = self.seeded(search_env, tmp_path, generations=2)
+        sent = spy_on_batches(monkeypatch, training.FitResult("discarded", reason=reason))
+        memo = {}
+        for gen in (1, 2):
+            gen_log, _ = search.run_generation(archive, backend, g, split, tcfg, scfg,
+                                               gen, np.random.default_rng(gen),
+                                               next_id=12 * gen, memo=memo)
+            assert [r["status"] for r in gen_log["candidates"]] == [reason] * 12
+        gcn = dsl.builtin("gcn").strip()
+        assert sent == [[gcn], [gcn] if resent else []]
+
+    def test_run_never_sends_a_text_twice(self, search_env, tmp_path, monkeypatch):
+        g, split, tcfg = search_env
+        scfg = SearchConfig(generations=2, pool_size=4, seed=0)
+        path = make_replay_file(tmp_path, full_replay_records(2))
+        sent = spy_on_batches(monkeypatch)
+        report = search.run_search(g, split, scfg, tcfg, bridge.ReplayBackend(path))
+        texts = [t for batch in sent for t in batch]
+        assert len(sent) == 3 and len(texts) == len(set(texts))
+        records = report.seed_records + [c for gl in report.generation_logs
+                                         for c in gl["candidates"]]
+        by_id = {r["id"]: r for r in records}
+        hits = [r for r in records if "memo_of" in r]
+        assert len(hits) == len(records) - len(texts) > 0
+        for hit in hits:
+            source = by_id[hit["memo_of"]]
+            assert "memo_of" not in source and source["id"] < hit["id"]
+            assert (hit["status"], hit["fitness"], hit["epochs_run"]) == \
+                (source["status"], source["fitness"], source["epochs_run"])
+
+
 class TestRunSearch:
     def test_three_generation_replay(self, search_env, tmp_path):
         g, split, tcfg = search_env
