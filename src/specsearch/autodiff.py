@@ -148,8 +148,8 @@ def spmm(op, x):
     x = _coerce(x)
     if op.cols != x.shape[0]:
         raise ShapeMismatch(f"spmm: operator is {op.rows}x{op.cols}, dense is {x.shape}")
-    out = Tensor(op.matmul(x.data), parents=(x,))
-    out.backward_fn = lambda g: _accum(x, op.to_csr().T @ g)
+    out = Tensor(op.csr @ x.data, parents=(x,))
+    out.backward_fn = lambda g: _accum(x, op.csr.T @ g)
     return out
 
 
@@ -301,7 +301,7 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
             f"edge_attn_agg: scores must be {n}x1, got {scores_src.shape} and {scores_dst.shape}")
     if x.shape[0] != n:
         raise ShapeMismatch(f"edge_attn_agg: features must have {n} rows, got {x.shape}")
-    r, c = adj.row, adj.col
+    r, c = adj.coords
     e_raw = scores_src.data[r, 0] + scores_dst.data[c, 0]
     e, dlrelu = _leaky_relu(e_raw)
     rowmax = np.full(n, -np.inf)

@@ -25,7 +25,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_split(text):
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
         raise UsageError(f"--split needs three comma-separated numbers, got {text!r}")
     if sum(parts) > 1.0 + 1e-9:
@@ -70,8 +73,11 @@ def _make_split(graph, ratios, seed, stratified=True, from_file=False):
         if graph.splits is None:
             raise SpecSearchError("dataset file carries no splits")
         return graph.splits
-    return graphs.make_split(graph.num_nodes, ratios, labels=graph.labels,
-                             seed=seed, stratified=stratified)
+    try:
+        return graphs.make_split(graph.num_nodes, ratios, labels=graph.labels,
+                                 seed=seed, stratified=stratified)
+    except ValueError as exc:   # the fractions, from --split or the config
+        raise UsageError(f"split: {exc}") from None
 
 
 def _prepare_out_dir(out_dir, force):
@@ -105,7 +111,12 @@ def _train_cfg_from(args, base=None):
 
 def cmd_search(args):
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config {args.config}: malformed JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {args.config}: expected a JSON object")
     dataset = args.dataset or cfg.get("dataset")
     if dataset is None:
         raise UsageError("search needs a dataset (config key 'dataset' or --dataset)")
@@ -239,9 +250,12 @@ def cmd_bench(args):
 
 
 def cmd_gen_data(args):
-    graph = graphs.gen_synthetic(args.n, args.classes, args.homophily,
-                                 args.avg_degree, args.feature_dim,
-                                 args.signal, args.seed or 0)
+    try:
+        graph = graphs.gen_synthetic(args.n, args.classes, args.homophily,
+                                     args.avg_degree, args.feature_dim,
+                                     args.signal, args.seed or 0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     graphs.save_dataset(graph, args.out)
     print(json.dumps({"path": str(args.out), "num_nodes": graph.num_nodes,
                       "num_edges": len(graph.edges)}))

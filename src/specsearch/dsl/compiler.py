@@ -88,7 +88,7 @@ class CompiledMechanism:
         self.operators = {}
         for g in prog.graph_defs:
             variant = LaplacianVariant(_CTOR_TO_VARIANT[g.ctor], g.self_loop)
-            self.operators[g.name] = build_operator(graph, variant)
+            self.operators[g.name] = build_operator(graph, variant, dtype)
             env[g.name] = self._slot(self.operators[g.name])
         env.update((name, float(v)) for name, v in prog.consts)
         env["K"] = float(prog.loop_count)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -108,44 +109,50 @@ class Graph:
 
 
 class SparseOp:
-    """An n x m sparse operator in coordinate form, sorted by (row, col), duplicate-free.
+    """An n x m operator held as one scipy CSR matrix, `csr`, in canonical form:
+    column indices sorted within each row, no duplicate coordinates, no stored
+    zeros, finite weights.
 
-    `to_csr` builds one CSR copy on first use and caches it; products with the
-    transpose use its `.T` view.
+    The constructor takes any scipy sparse matrix (duplicates are summed, zeros
+    dropped) and casts its weights once to `dtype`; `from_coords` takes
+    coordinates given from outside. `coords` are the (row, col) int64 arrays of
+    the stored entries in CSR order, built on first use.
     """
 
-    def __init__(self, rows, cols, row, col, val):
+    def __init__(self, matrix, dtype=np.float64):
+        csr = matrix.tocsr(copy=True)
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        csr = csr.astype(dtype, copy=False)
+        if not np.all(np.isfinite(csr.data)):
+            raise ValueError("non-finite weight in sparse operator")
+        self.csr = csr
+        self.rows, self.cols = csr.shape
+
+    @classmethod
+    def from_coords(cls, rows, cols, row, col, val):
+        """Rejects an out-of-range index, a duplicate coordinate or a non-finite weight."""
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
         val = np.asarray(val, dtype=np.float64)
         if not (row.shape == col.shape == val.shape):
             raise ValueError("row/col/val length mismatch")
-        if row.size:
-            if row.min() < 0 or row.max() >= rows or col.min() < 0 or col.max() >= cols:
-                raise ValueError("sparse index out of bounds")
-            order = np.lexsort((col, row))
-            row, col, val = row[order], col[order], val[order]
-            dup = (row[1:] == row[:-1]) & (col[1:] == col[:-1])
-            if dup.any():
-                raise ValueError("duplicate coordinate in sparse operator")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("non-finite weight in sparse operator")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.row, self.col, self.val = row, col, val
-        self._csr = None
+        if row.size and (row.min() < 0 or row.max() >= rows
+                         or col.min() < 0 or col.max() >= cols):
+            raise ValueError("sparse index out of bounds")
+        m = sp.coo_matrix((val, (row, col)), shape=(rows, cols))
+        m.sum_duplicates()
+        if m.nnz < row.size:
+            raise ValueError("duplicate coordinate in sparse operator")
+        return cls(m)
 
-    def to_csr(self):
-        if self._csr is None:
-            self._csr = sp.csr_matrix((self.val, (self.row, self.col)),
-                                      shape=(self.rows, self.cols))
-        return self._csr
+    @functools.cached_property
+    def coords(self):
+        row = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.csr.indptr))
+        return row, self.csr.indices.astype(np.int64)
 
     def to_dense(self):
-        return self.to_csr().toarray()
-
-    def matmul(self, dense):
-        return self.to_csr() @ dense
+        return self.csr.toarray()
 
 
 def _coo_with_loops(graph, c):
@@ -171,45 +178,41 @@ def _inverse(d):
     return np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
 
 
-def _nonzero_op(m):
-    """SparseOp of the nonzero entries of a scipy sparse matrix."""
-    m = m.tocoo()
-    keep = m.data != 0.0
-    return SparseOp(m.shape[0], m.shape[1], m.row[keep], m.col[keep], m.data[keep])
+def build_operator(graph, variant, dtype=np.float64):
+    """Materialize the n x n operator named by `variant` for `graph`.
 
-
-def build_operator(graph, variant):
-    """Materialize the n x n operator named by `variant` for `graph`."""
+    Weights are computed in float64 and cast once to `dtype`.
+    """
     n = graph.num_nodes
     c = variant.self_loop_weight
     kind = variant.kind
     if kind is Variant.PRUNED_NORM:
-        return prune_mean_std(graph, c)
+        return prune_mean_std(graph, c, dtype)
     if kind is Variant.COMBINATORIAL:
         # D - A: the self-loop weight cancels
         row, col, val, deg = _coo_with_loops(graph, 0.0)
-        return _nonzero_op(sp.diags(deg) - sp.csr_matrix((val, (row, col)), (n, n)))
+        return SparseOp(sp.diags(deg) - sp.csr_matrix((val, (row, col)), (n, n)), dtype)
     row, col, val, deg = _coo_with_loops(graph, c)
     if kind is Variant.ADJ_RW_NORM:
-        return _nonzero_op(sp.coo_matrix((val * _inverse(deg)[row], (row, col)), (n, n)))
+        return SparseOp(sp.coo_matrix((val * _inverse(deg)[row], (row, col)), (n, n)), dtype)
     inv_sqrt = _inverse(np.sqrt(deg))
     norm = val * inv_sqrt[row] * inv_sqrt[col]
     if kind is Variant.ADJ_SYM_NORM:
-        return _nonzero_op(sp.coo_matrix((norm, (row, col)), (n, n)))
+        return SparseOp(sp.coo_matrix((norm, (row, col)), (n, n)), dtype)
     eye = sp.identity(n, format="csr")
     lap = eye - sp.csr_matrix((norm, (row, col)), (n, n))
     if kind is Variant.SYM_LAPLACIAN:
-        return _nonzero_op(lap)
+        return SparseOp(lap, dtype)
     if kind is Variant.SCALED_LAPLACIAN:
         # 2L/λmax − I with λmax = 2, the bound on the spectrum of L (Kipf & Welling)
-        return _nonzero_op(lap - eye)
+        return SparseOp(lap - eye, dtype)
     raise ValueError(f"unhandled variant {kind}")
 
 
 _PRUNE_EPSILON = 1e-10
 
 
-def prune_mean_std(graph, self_loop_weight):
+def prune_mean_std(graph, self_loop_weight, dtype=np.float64):
     """Threshold A + cI at (mean - std) over its nonzero entries, then normalize globally.
 
     Entries below the threshold are dropped; survivors are divided by
@@ -218,10 +221,10 @@ def prune_mean_std(graph, self_loop_weight):
     n = graph.num_nodes
     row, col, val, _ = _coo_with_loops(graph, float(self_loop_weight))
     if not val.size:
-        return SparseOp(n, n, [], [], [])
+        return SparseOp(sp.csr_matrix((n, n)), dtype)
     keep = val >= val.mean() - val.std()
     kept = val[keep] / (val.sum() + _PRUNE_EPSILON)
-    return _nonzero_op(sp.coo_matrix((kept, (row[keep], col[keep])), (n, n)))
+    return SparseOp(sp.coo_matrix((kept, (row[keep], col[keep])), (n, n)), dtype)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ class EliteArchive:
     def __init__(self, capacity=30):
         self.capacity = capacity
         self.members = []
-        self._keys = set()
+        self._keys = {}                 # dedup key -> member
 
     def __len__(self):
         return len(self.members)
@@ -61,10 +61,10 @@ class EliteArchive:
             return False
         self.members.append(ind)
         self.members.sort(key=lambda m: (-m.fitness, m.generation_born, m.id))
-        self._keys.add(key)
+        self._keys[key] = ind
         if len(self.members) > self.capacity:
             dropped = self.members.pop()
-            self._keys.discard(dedup_key(dropped.program_text))
+            del self._keys[next(k for k, m in self._keys.items() if m is dropped)]
             if dropped is ind:
                 return False
         return True

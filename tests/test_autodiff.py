@@ -12,7 +12,7 @@ from conftest import check_gradients
 
 def sparse_from_dense(m):
     rows, cols = np.nonzero(m)
-    return graphs.SparseOp(m.shape[0], m.shape[1], rows, cols, m[rows, cols])
+    return graphs.SparseOp.from_coords(m.shape[0], m.shape[1], rows, cols, m[rows, cols])
 
 
 class TestForward:

@@ -39,6 +39,16 @@ class TestUsage:
         assert run(["eval", "--dataset", dataset, "--mechanism", "gcn",
                     "--split", "1,2"]) == 1
 
+    @pytest.mark.parametrize("split, message", [
+        ("a,b,c", "--split needs three comma-separated numbers"),
+        ("0.5,-0.2,0.3", "fractions must be non-negative"),
+    ])
+    def test_bad_split_values(self, dataset, capsys, split, message):
+        assert run(["eval", "--dataset", dataset, "--mechanism", "gcn",
+                    "--split", split]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
     def test_missing_dataset_file(self, capsys):
         assert run(["eval", "--dataset", "/nonexistent.json",
                     "--mechanism", "gcn"]) == 2
@@ -54,6 +64,13 @@ class TestGenData:
         assert info["num_nodes"] == 50
         g = graphs.load_dataset(out)
         assert g.num_nodes == 50 and g.num_classes == 2
+
+
+    def test_fewer_nodes_than_classes_is_usage_error(self, tmp_path, capsys):
+        assert run(["gen-data", "--out", tmp_path / "x.json", "--n", "1",
+                    "--classes", "3"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: need n >= classes")
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestEval:
@@ -171,6 +188,17 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "malformed JSON"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run(["search", "--config", path, "--out-dir", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
 
     def test_bad_train_config_is_usage_error(self, dataset, tmp_path, capsys):
         replay = make_replay_file(tmp_path, full_replay_records(1))

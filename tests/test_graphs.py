@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specsearch import graphs
 from specsearch.errors import DatasetFormatError, StratificationInfeasible
@@ -135,6 +136,53 @@ class TestOperatorFormulas:
             # λmax = 2 is a bound, so the scaled spectrum stays inside [-1, 1]
             assert np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("kind", list(Variant))
+    def test_float32_is_float64_cast_once(self, kind, c):
+        variant = LaplacianVariant(kind, c)
+        f64 = graphs.build_operator(self.GRAPH, variant).csr
+        f32 = graphs.build_operator(self.GRAPH, variant, np.float32).csr
+        assert f64.dtype == np.float64 and f32.dtype == np.float32
+        assert np.array_equal(f32.indptr, f64.indptr)
+        assert np.array_equal(f32.indices, f64.indices)
+        assert np.array_equal(f32.data, f64.data.astype(np.float32))
+
+
+class TestSparseOp:
+    def test_canonical_csr(self):
+        # rows and columns out of order, and one zero weight
+        op = graphs.SparseOp.from_coords(3, 3, [2, 0, 0, 1], [0, 2, 1, 1], [4.0, 2.0, 1.0, 0.0])
+        assert op.csr.format == "csr"
+        assert op.csr.indptr.tolist() == [0, 2, 2, 3]
+        assert op.csr.indices.tolist() == [1, 2, 0]
+        assert op.csr.data.tolist() == [1.0, 2.0, 4.0]
+        row, col = op.coords
+        assert row.tolist() == [0, 0, 2] and col.tolist() == [1, 2, 0]
+        assert row.dtype == col.dtype == np.int64
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", list(Variant))
+    def test_built_operators_are_canonical(self, kind, c):
+        csr = graphs.build_operator(random_graph(30, 0.2, seed=5), LaplacianVariant(kind, c)).csr
+        assert csr.has_canonical_format
+        assert np.all(csr.data != 0)
+
+    @pytest.mark.parametrize("row, col, val, message", [
+        ([0, 1, 0], [1, 0, 1], [1.0, 1.0, 2.0], "duplicate coordinate"),
+        ([0, 2], [1, 0], [1.0, 1.0], "out of bounds"),
+        ([0, 1], [1, -1], [1.0, 1.0], "out of bounds"),
+        ([0, 1], [1, 0], [1.0, np.nan], "non-finite"),
+        ([0, 1], [1, 0], [np.inf, 1.0], "non-finite"),
+    ])
+    def test_rejects_bad_coordinates(self, row, col, val, message):
+        with pytest.raises(ValueError, match=message):
+            graphs.SparseOp.from_coords(2, 2, row, col, val)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_rejects_weight_beyond_dtype(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            graphs.SparseOp(sp.csr_matrix(np.array([[1e300]])), np.float32)
+
 
 class TestPruneMeanStd:
     def test_two_node_example(self):
@@ -251,7 +299,7 @@ class TestEigOperator:
         assert np.allclose(graphs.eig_operator(op).eigenvalues, [0, 1.5, 1.5], atol=1e-10)
 
     def test_rejects_asymmetric(self):
-        op = graphs.SparseOp(2, 2, [0], [1], [1.0])
+        op = graphs.SparseOp.from_coords(2, 2, [0], [1], [1.0])
         with pytest.raises(graphs.SpecSearchError, match="symmetric"):
             graphs.eig_operator(op)
 

@@ -69,6 +69,18 @@ class TestEliteArchive:
         assert archive.add(ind(99, 0.995))
         assert all(m.id != 2 for m in archive.members)
 
+    def test_each_program_parsed_once(self, monkeypatch):
+        calls = []
+        parse = dsl.parse
+        monkeypatch.setattr(dsl, "parse", lambda text: calls.append(text) or parse(text))
+        archive = EliteArchive(capacity=2)
+        for i, fitness in enumerate([0.7, 0.8, 0.9]):
+            archive.add(ind(i, fitness))
+        assert [m.id for m in archive.members] == [2, 1]
+        assert len(calls) == 3
+        assert archive.add(ind(3, 0.95, text=ind(0, 0).program_text))
+        assert [m.id for m in archive.members] == [3, 2]
+
 
 class TestSelection:
     def test_e1_rank_partition(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specsearch import autodiff as ad
 from specsearch import dsl, graphs, training
 from specsearch.dsl.parser import MAX_DEPTH
 
@@ -83,6 +84,26 @@ class TestTrain:
         restored_acc = training.evaluate(asm, sep_graph, sep_split.val)
         assert restored_acc == max(metrics.val_accuracies)
         assert restored_acc == metrics.best_val_acc
+
+
+class TestDtype:
+    @pytest.mark.parametrize("float64", [False, True])
+    @pytest.mark.parametrize("name", dsl.builtin_names())
+    def test_one_train_step_computes_in_config_dtype(self, name, float64, sep_graph,
+                                                     sep_split, monkeypatch):
+        dtypes = set()
+        init = ad.Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            dtypes.add(self.data.dtype)
+        monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8, float64=float64)
+        asm = training.build_assembly(dsl.builtin(name), sep_graph, cfg)
+        assert asm.forward().data.dtype == cfg.dtype
+        training.train(asm, sep_graph, sep_split, cfg)
+        assert dtypes == {np.dtype(cfg.dtype)}
+        assert {t.data.dtype for t in asm.params.values()} == {np.dtype(cfg.dtype)}
 
 
 class TestEvaluate:
