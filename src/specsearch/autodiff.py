@@ -46,11 +46,13 @@ def _coerce(x, like=None):
 
 
 def _accum(t, g):
-    if not (t.requires_grad or t.parents):
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add `g` (t's shape and dtype) to t's gradient.
+
+    Never in place: one `g` may be handed to several tensors (add passes the
+    same array to both parents), so a grad is replaced, not updated.
+    """
+    if t.requires_grad or t.parents:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _reduce_broadcast(g, shape):
@@ -286,7 +288,7 @@ def cross_entropy_with_logits(logits, labels, index_set):
 
 
 def _leaky_relu(x, slope=0.2):
-    return np.where(x > 0, x, slope * x), np.where(x > 0, 1.0, slope)
+    return np.where(x > 0, x, slope * x), np.where(x > 0, 1.0, slope).astype(x.dtype)
 
 
 def edge_attn_agg(adj, scores_src, scores_dst, x):
@@ -304,13 +306,14 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
     r, c = adj.coords
     e_raw = scores_src.data[r, 0] + scores_dst.data[c, 0]
     e, dlrelu = _leaky_relu(e_raw)
-    rowmax = np.full(n, -np.inf)
+    dtype = x.data.dtype
+    rowmax = np.full(n, -np.inf, dtype=dtype)
     np.maximum.at(rowmax, r, e)
     safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
     ez = np.exp(e - safe_max[r])
-    denom = np.bincount(r, weights=ez, minlength=n)
+    denom = np.bincount(r, weights=ez, minlength=n).astype(dtype)  # bincount sums in float64
     alpha = ez / denom[r]
-    y = np.zeros((n, x.shape[1]), dtype=x.data.dtype)
+    y = np.zeros((n, x.shape[1]), dtype=dtype)
     np.add.at(y, r, alpha[:, None] * x.data[c])
     out = Tensor(y, parents=(scores_src, scores_dst, x))
 
@@ -319,7 +322,7 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
         np.add.at(gx, c, alpha[:, None] * g[r])
         _accum(x, gx)
         dalpha = (g[r] * x.data[c]).sum(axis=1)
-        srow = np.bincount(r, weights=alpha * dalpha, minlength=n)
+        srow = np.bincount(r, weights=alpha * dalpha, minlength=n).astype(dtype)
         de = alpha * (dalpha - srow[r]) * dlrelu
         gs = np.zeros_like(scores_src.data)
         np.add.at(gs[:, 0], r, de)
@@ -332,7 +335,11 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
 
 
 def backward(loss):
-    """Reverse-mode sweep from a scalar loss; fills .grad on reachable tensors."""
+    """Reverse-mode sweep from a scalar loss; fills .grad on reachable leaves.
+
+    Interior nodes (tensors with parents) drop their gradient once it has been
+    passed on, so the sweep holds only the gradients still to be propagated.
+    """
     if loss.shape != (1, 1):
         raise ShapeMismatch(f"backward requires a scalar loss, got shape {loss.shape}")
     topo = []
@@ -357,6 +364,8 @@ def backward(loss):
             if not np.all(np.isfinite(g)):
                 raise NumericalError("non-finite gradient")
             node.backward_fn(g)
+        if node.parents:        # spent: only leaves keep their gradient
+            node.grad = None
 
 
 # -- parameters and optimizer --------------------------------------------------

@@ -94,10 +94,12 @@ def _write_manifest(out, manifest):
 
 
 def _scoring_record(pool_size):
-    """How candidates are scored: the worker pool size and the BLAS pin symbol."""
+    """How candidates are scored: the worker pool size, the BLAS pin symbol, and
+    whether workers keep freed heap memory (`mallopt` found)."""
     set_threads = training.blas_set_num_threads()
     return {"pool_size": pool_size,
-            "blas_pin": set_threads.__name__ if set_threads is not None else None}
+            "blas_pin": set_threads.__name__ if set_threads is not None else None,
+            "keep_freed_heap": training.libc_mallopt() is not None}
 
 
 def _train_cfg_from(args, base=None):

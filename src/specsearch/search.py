@@ -148,7 +148,8 @@ def _score_texts(ids, texts, graph, split, train_cfg, pool_size, memo):
     fixed for a run and training is deterministic per seed, so a hit equals a
     retrain. Returns one (record fields, FitResult) per text; a repeat carries
     its source's status and fitness, `memo_of` the source id and its own
-    wall_seconds of 0. A memo of None is a fresh one for this call alone.
+    wall_seconds, cpu_seconds and peak_rss_mb of 0. A memo of None is a fresh
+    one for this call alone.
     """
     memo = {} if memo is None else memo
     batch = {}                              # text -> id of its first candidate
@@ -166,8 +167,8 @@ def _score_texts(ids, texts, graph, split, train_cfg, pool_size, memo):
         if source == cid:
             scored.append((res.to_dict(), res))
         else:
-            scored.append(({**replace(res, wall_seconds=0.0).to_dict(),
-                            "memo_of": source}, res))
+            spent = replace(res, wall_seconds=0.0, cpu_seconds=0.0, peak_rss_mb=0.0)
+            scored.append(({**spent.to_dict(), "memo_of": source}, res))
     return scored
 
 

@@ -6,9 +6,11 @@ import ctypes
 import functools
 import multiprocessing as mp
 import os
+import resource
+import sys
 import time
 from multiprocessing import connection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,16 @@ from .errors import NumericalError, SpecSearchError
 # number of scoring workers.
 USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
+
+# glibc's `mallopt` parameters (malloc.h) and the values a scoring worker sets:
+# the largest mmap threshold glibc accepts on 64-bit, and a trim threshold past
+# any heap a worker reaches.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+WORKER_MMAP_THRESHOLD = 32 * 2**20
+WORKER_TRIM_THRESHOLD = 2**30
+
+# `ru_maxrss` is in KiB on Linux and in bytes on macOS.
+_MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10
 
 
 @dataclass
@@ -156,9 +168,10 @@ def train(assembly, graph, split, cfg):
                 grads[name] = t.grad
                 t.grad = None
         ad.step_adam(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        metrics.train_losses.append(float(loss.data[0, 0]))
+        del logits, loss, grads      # free the training tape before validation builds one
         val_acc = evaluate(assembly, graph, split.val)
         metrics.epochs_run = epoch
-        metrics.train_losses.append(float(loss.data[0, 0]))
         metrics.val_accuracies.append(val_acc)
         if val_acc > metrics.best_val_acc or epoch == 1:
             metrics.best_val_acc = val_acc
@@ -181,6 +194,8 @@ class FitResult:
     test_accuracy: float = None
     epochs_run: int = 0
     wall_seconds: float = 0.0
+    cpu_seconds: float = None   # the worker's user + system time; None without a report
+    peak_rss_mb: float = None   # the worker's peak resident set, MiB
 
     @property
     def ok(self):
@@ -189,7 +204,13 @@ class FitResult:
     def to_dict(self):
         return {"status": self.status if self.ok else self.reason,
                 "fitness": self.fitness, "epochs_run": self.epochs_run,
-                "wall_seconds": round(self.wall_seconds, 3)}
+                "wall_seconds": round(self.wall_seconds, 3),
+                "cpu_seconds": _round(self.cpu_seconds, 3),
+                "peak_rss_mb": _round(self.peak_rss_mb, 1)}
+
+
+def _round(value, digits):
+    return None if value is None else round(value, digits)
 
 
 def _score_impl(program_text, graph, split, cfg):
@@ -258,14 +279,35 @@ def blas_set_num_threads():
     return None
 
 
-def _score_worker(conn, program_text, graph, split, cfg, set_blas_threads):
+@functools.cache
+def libc_mallopt():
+    """The C library's `mallopt`, or None where it has none (macOS, for one)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
+def _score_worker(conn, program_text, graph, split, cfg, set_blas_threads, mallopt):
     # One BLAS thread per worker: the pool already runs a worker per core.
     if set_blas_threads is not None:
         set_blas_threads(1)
+    # Keep freed memory in the heap. Each epoch frees a tape of n x h arrays and
+    # builds one of the same sizes; left to itself glibc serves them by mmap or
+    # trims the heap top, so every epoch faults its pages in again. The worker
+    # exits after one candidate, so the heap it keeps dies with it.
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
+        mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
     try:
         result = _score_impl(program_text, graph, split, cfg)
     except Exception:
         result = FitResult("discarded", reason="internal")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    result = replace(result, cpu_seconds=usage.ru_utime + usage.ru_stime,
+                     peak_rss_mb=usage.ru_maxrss / _MAXRSS_PER_MIB)
     try:
         conn.send(result)
     finally:
@@ -290,11 +332,13 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
     pending = {}  # idx -> (process, conn, start_time)
     next_idx = 0
     set_blas_threads = blas_set_num_threads()  # resolved once, inherited over fork
+    mallopt = libc_mallopt()
 
     def launch(i):
         parent, child = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_score_worker,
-                           args=(child, texts[i], graph, split, cfg, set_blas_threads),
+                           args=(child, texts[i], graph, split, cfg, set_blas_threads,
+                                 mallopt),
                            daemon=True)
         proc.start()
         child.close()

@@ -92,6 +92,26 @@ class TestBackwardBasics:
         with pytest.raises(ShapeMismatch):
             ad.backward(ad.relu(x))
 
+    def test_shared_gradient_is_not_mutated(self):
+        # add hands one array to both a and b; a then accumulates mul's gradient
+        rng = np.random.default_rng(0)
+        a, b, c = (ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+                   for _ in range(3))
+        ad.backward(ad.sum_all(ad.add(ad.add(a, b), ad.mul(a, c))))
+        assert np.array_equal(a.grad, 1.0 + c.data)
+        assert np.array_equal(b.grad, np.ones((3, 2)))
+        assert np.array_equal(c.grad, a.data)
+
+    def test_only_leaves_keep_gradients(self):
+        x = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        w = ad.Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        xw = ad.matmul(x, w)
+        h = ad.tanh(xw)
+        loss = ad.sum_all(h)
+        ad.backward(loss)
+        assert x.grad is not None and w.grad is not None
+        assert xw.grad is None and h.grad is None and loss.grad is None
+
 
 class TestGradientSuite:
     """Analytic vs central finite-difference gradients, 20 instances per op."""
@@ -228,6 +248,26 @@ class TestEdgeAttnAgg:
         out = ad.edge_attn_agg(s, src, dst, x)
         # node 1 attends to {0, 2} with softmax([1, 0]) ~ [0.7311, 0.2689]
         assert abs(out.data[1, 0] - 0.7311) < 1e-4
+
+    def test_float32_computes_in_float32(self, monkeypatch):
+        g = graphs.gen_synthetic(40, 3, 0.8, 4.0, 5, 1.0, seed=0)
+        op = graphs.build_operator(g, graphs.LaplacianVariant(graphs.Variant.ADJ_SYM_NORM, 1.0),
+                                  np.float32)
+        rng = np.random.default_rng(0)
+        src, dst, x = (ad.Tensor(rng.standard_normal(shape).astype(np.float32),
+                                 requires_grad=True) for shape in ((40, 1), (40, 1), (40, 3)))
+        seen = []
+        exp = np.exp
+
+        def recording_exp(v, *args, **kwargs):
+            seen.append(v.dtype)
+            return exp(v, *args, **kwargs)
+        monkeypatch.setattr(np, "exp", recording_exp)
+        out = ad.edge_attn_agg(op, src, dst, x)
+        ad.backward(ad.sum_all(ad.tanh(out)))
+        assert seen and set(seen) == {np.dtype(np.float32)}
+        assert out.data.dtype == np.float32
+        assert {t.grad.dtype for t in (src, dst, x)} == {np.dtype(np.float32)}
 
     def test_attention_rows_sum_to_one(self):
         s = self.path3()

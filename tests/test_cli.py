@@ -23,6 +23,10 @@ def blas_pin():
     return setter.__name__ if setter is not None else None
 
 
+def keep_freed_heap():
+    return training.libc_mallopt() is not None
+
+
 def run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -158,7 +162,11 @@ class TestSearch:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["search"]["generations"] == 2
         assert manifest["train"]["max_epochs"] == 10
-        assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin()}
+        assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin(),
+                                       "keep_freed_heap": keep_freed_heap()}
+        records = [c for line in (out / "generations.jsonl").read_text().splitlines()
+                   for c in json.loads(line)["candidates"]]
+        assert records and all("cpu_seconds" in r and "peak_rss_mb" in r for r in records)
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert 0.0 <= summary["best_fitness"] <= 1.0
 
@@ -228,7 +236,8 @@ class TestBench:
         assert len(lines) == 14
         assert (out / "bench.csv").exists()
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin()}
+        assert manifest["scoring"] == {"pool_size": 4, "blas_pin": blas_pin(),
+                                       "keep_freed_heap": keep_freed_heap()}
 
     @pytest.mark.parametrize("size", ["0", "-2"])
     def test_pool_size_below_one_is_usage_error(self, dataset, capsys, size):

@@ -228,6 +228,8 @@ class TestFitnessMemo:
         assert len(repeats) == 11 and "memo_of" not in first
         assert all(r["memo_of"] == first["id"] for r in repeats)
         assert all(r["status"] == "ok" and r["wall_seconds"] == 0.0 for r in repeats)
+        assert first["cpu_seconds"] > 0 and first["peak_rss_mb"] > 0
+        assert all(r["cpu_seconds"] == r["peak_rss_mb"] == 0.0 for r in repeats)
         assert {r["fitness"] for r in gen_log["candidates"]} == {first["fitness"]}
         assert {r["epochs_run"] for r in gen_log["candidates"]} == {first["epochs_run"]}
 
@@ -308,9 +310,10 @@ class TestRunSearch:
                               out_dir=out)
             logs = [json.loads(line) for line in
                     (out / "generations.jsonl").read_text().splitlines()]
-            for gl in logs:   # wall_seconds is timing data, not part of the contract
+            for gl in logs:   # time and memory use are measurements, not part of the contract
                 for cand in gl["candidates"]:
-                    cand.pop("wall_seconds")
+                    for key in ("wall_seconds", "cpu_seconds", "peak_rss_mb"):
+                        cand.pop(key)
             outs.append({
                 "convergence": (out / "convergence.csv").read_bytes(),
                 "best": (out / "best_program.txt").read_bytes(),

@@ -2,6 +2,7 @@
 
 import ctypes
 import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,17 @@ class TestDtype:
         assert dtypes == {np.dtype(cfg.dtype)}
         assert {t.data.dtype for t in asm.params.values()} == {np.dtype(cfg.dtype)}
 
+    @pytest.mark.parametrize("float64", [False, True])
+    @pytest.mark.parametrize("name", dsl.builtin_names())
+    def test_param_grads_match_params(self, name, float64, sep_graph, sep_split):
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8, float64=float64)
+        asm = training.build_assembly(dsl.builtin(name), sep_graph, cfg)
+        logits = asm.forward(training=True, epoch=1)
+        ad.backward(ad.cross_entropy_with_logits(logits, sep_graph.labels, sep_split.train))
+        for key, t in asm.params.items():
+            assert t.grad is not None, key
+            assert (t.grad.shape, t.grad.dtype) == (t.shape, t.data.dtype), key
+
 
 class TestEvaluate:
     def test_untrained_on_random_labels_near_chance(self):
@@ -147,11 +159,16 @@ class TestScoring:
         assert res.ok
         assert 0.0 <= res.fitness <= 1.0
         assert res.epochs_run <= cfg.max_epochs
+        assert res.cpu_seconds > 0 and res.peak_rss_mb > 1     # the worker's own usage
+        record = res.to_dict()
+        assert record["cpu_seconds"] == round(res.cpu_seconds, 3)
+        assert record["peak_rss_mb"] == round(res.peak_rss_mb, 1)
 
     def test_unparseable_text(self, scored_setup):
         g, split, cfg = scored_setup
         res = training.score_individual("not a program", g, split, cfg)
         assert res.status == "discarded" and res.reason == "parse"
+        assert res.cpu_seconds >= 0 and res.peak_rss_mb > 1
 
     def test_shape_failure(self, scored_setup):
         g, split, cfg = scored_setup
@@ -172,6 +189,8 @@ class TestScoring:
         g, split, cfg = scored_setup
         res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
         assert res.status == "discarded" and res.reason == "crash"
+        assert res.cpu_seconds is None and res.peak_rss_mb is None
+
 
     @pytest.mark.parametrize("old, new, reason", [
         ("W[k]", "W[k + 1]", "compile"),          # W[3] of a 2-long array
@@ -215,6 +234,7 @@ class TestScoring:
         res = training.score_individual(OVERSIZED_PROGRAM, g, split, cfg)
         assert res.reason == "timeout"
         assert res.wall_seconds < 6.0   # terminated within the grace window
+        assert res.to_dict()["cpu_seconds"] is None and res.to_dict()["peak_rss_mb"] is None
 
     def test_batch_preserves_order_and_isolation(self):
         g = graphs.gen_synthetic(120, 3, 0.8, 6.0, 8, 1.0, seed=2)
@@ -234,6 +254,33 @@ class TestScoring:
         a = training.evaluate_batch([text, text], g, split, cfg, pool_size=2)
         b = training.score_individual(text, g, split, cfg)
         assert a[0].fitness == a[1].fitness == b.fitness
+
+
+class TestKeepFreedHeap:
+    def test_worker_sets_allocator_before_scoring(self, sep_graph, sep_split, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "libc_mallopt", lambda: lambda *args: calls.append(args))
+        monkeypatch.setattr(training, "_score_impl",
+                            lambda *args: training.FitResult("ok", fitness=list(calls)))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        assert res[0].fitness == [(training.M_MMAP_THRESHOLD, 32 * 2**20),
+                                  (training.M_TRIM_THRESHOLD, 2**30)]
+        assert calls == []             # only the worker's allocator is changed
+
+    def test_scores_when_nothing_resolves(self, sep_graph, sep_split, monkeypatch):
+        monkeypatch.setattr(training, "libc_mallopt", lambda: None)
+        cfg = training.TrainConfig(max_epochs=5, patience=5, hidden=8)
+        res = training.score_individual(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
+        assert res.ok and res.cpu_seconds > 0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_resolver_finds_glibc_mallopt(self):
+        assert training.libc_mallopt.__wrapped__() is not None
+
+    def test_resolver_finds_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert training.libc_mallopt.__wrapped__() is None
 
 
 def _blas_getter(setter):
