@@ -69,15 +69,15 @@ def _resolve_mechanism(spec):
 
 
 def _make_split(graph, ratios, seed, stratified=True, from_file=False):
-    if from_file:
-        if graph.splits is None:
-            raise SpecSearchError("dataset file carries no splits")
-        return graph.splits
+    if from_file and graph.splits is None:
+        raise SpecSearchError("dataset file carries no splits")
     try:
-        return graphs.make_split(graph.num_nodes, ratios, labels=graph.labels,
-                                 seed=seed, stratified=stratified)
-    except ValueError as exc:   # the fractions, from --split or the config
+        split = graph.splits if from_file else graphs.make_split(
+            graph.num_nodes, ratios, labels=graph.labels, seed=seed, stratified=stratified)
+        training.check_split(split)
+    except ValueError as exc:   # the fractions, or a split with no validation nodes
         raise UsageError(f"split: {exc}") from None
+    return split
 
 
 def _prepare_out_dir(out_dir, force):
@@ -94,11 +94,12 @@ def _write_manifest(out, manifest):
 
 
 def _scoring_record(pool_size):
-    """How candidates are scored: the worker pool size, the BLAS pin symbol, and
-    whether workers keep freed heap memory (`mallopt` found)."""
-    set_threads = training.blas_set_num_threads()
+    """How candidates are scored: the worker pool size, the symbol of the BLAS
+    `set_num_threads` that pins batches to one thread, and whether workers keep
+    freed heap memory (`mallopt` found)."""
+    blas = training.blas_threads()
     return {"pool_size": pool_size,
-            "blas_pin": set_threads.__name__ if set_threads is not None else None,
+            "blas_pin": blas.set_num_threads.__name__ if blas is not None else None,
             "keep_freed_heap": training.libc_mallopt() is not None}
 
 

@@ -9,6 +9,7 @@ import os
 import resource
 import sys
 import time
+from collections import namedtuple
 from multiprocessing import connection
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -193,6 +194,7 @@ class FitResult:
     fitness: float = None       # validation accuracy, only when ok
     test_accuracy: float = None
     epochs_run: int = 0
+    best_epoch: int = 0         # the epoch whose checkpoint was restored
     wall_seconds: float = 0.0
     cpu_seconds: float = None   # the worker's user + system time; None without a report
     peak_rss_mb: float = None   # the worker's peak resident set, MiB
@@ -204,6 +206,7 @@ class FitResult:
     def to_dict(self):
         return {"status": self.status if self.ok else self.reason,
                 "fitness": self.fitness, "epochs_run": self.epochs_run,
+                "best_epoch": self.best_epoch,
                 "wall_seconds": round(self.wall_seconds, 3),
                 "cpu_seconds": _round(self.cpu_seconds, 3),
                 "peak_rss_mb": _round(self.peak_rss_mb, 1)}
@@ -242,22 +245,25 @@ def _score_impl(program_text, graph, split, cfg):
         reason = stage
     else:
         return FitResult("ok", fitness=fitness, test_accuracy=test_acc,
-                         epochs_run=metrics.epochs_run,
+                         epochs_run=metrics.epochs_run, best_epoch=metrics.best_epoch,
                          wall_seconds=time.monotonic() - start)
     return FitResult("discarded", reason=reason, wall_seconds=time.monotonic() - start)
 
 
-@functools.cache
-def blas_set_num_threads():
-    """numpy's OpenBLAS `set_num_threads` entry point, or None when there is none.
+BlasThreads = namedtuple("BlasThreads", "get_num_threads set_num_threads")
 
-    The symbol name follows numpy's build config: `scipy-openblas` built with
-    USE64BITINT exports `scipy_openblas_set_num_threads64_`, plain OpenBLAS
-    `openblas_set_num_threads`. The library is looked up next to numpy (where
-    its wheels bundle it) and in the configured lib directory; loading the file
-    numpy already loaded returns numpy's own copy. MKL, Accelerate, a numpy
-    without `show_config(mode=...)` and any library or symbol not found give
-    None.
+
+@functools.cache
+def blas_threads():
+    """numpy's OpenBLAS `get_num_threads` and `set_num_threads`, or None.
+
+    The symbol names follow numpy's build config: `scipy-openblas` built with
+    USE64BITINT exports `scipy_openblas_{get,set}_num_threads64_`, plain
+    OpenBLAS `openblas_{get,set}_num_threads`. The library is looked up next to
+    numpy (where its wheels bundle it) and in the configured lib directory;
+    loading the file numpy already loaded returns numpy's own copy. MKL,
+    Accelerate, a numpy without `show_config(mode=...)` and any library or
+    symbol not found give None: both entry points or neither.
     """
     numpy_dir = Path(np.__file__).parent
     try:
@@ -268,15 +274,24 @@ def blas_set_num_threads():
                 Path(blas["lib directory"])]
     except (TypeError, KeyError):
         return None
-    symbol = f"{prefix}set_num_threads{suffix}"
     for path in (p for d in dirs if d.is_dir() for p in sorted(d.glob("*openblas*"))):
         try:
-            set_num_threads = getattr(ctypes.CDLL(str(path)), symbol)
+            lib = ctypes.CDLL(str(path))
+            get_num_threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_num_threads = getattr(lib, f"{prefix}set_num_threads{suffix}")
         except (OSError, AttributeError):
             continue
+        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
         set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
-        return set_num_threads
+        return BlasThreads(get_num_threads, set_num_threads)
     return None
+
+
+def _set_blas_threads(blas, count):
+    # A set right after a fork rebuilds OpenBLAS's thread pool, and its helpers
+    # spin for OpenBLAS's thread timeout; so set only when the count changes.
+    if blas is not None and blas.get_num_threads() != count:
+        blas.set_num_threads(count)
 
 
 @functools.cache
@@ -290,10 +305,12 @@ def libc_mallopt():
     return mallopt
 
 
-def _score_worker(conn, program_text, graph, split, cfg, set_blas_threads, mallopt):
-    # One BLAS thread per worker: the pool already runs a worker per core.
-    if set_blas_threads is not None:
-        set_blas_threads(1)
+def _score_worker(conn, program_text, graph, split, cfg, mallopt):
+    # The worker inherits a BLAS count of 1 from `evaluate_batch` and must not
+    # call `set_num_threads` itself: OpenBLAS shuts its pool down at fork, and a
+    # set in the child rebuilds it with nproc - 1 helpers that spin idle for
+    # about 0.1 s, on the cores the other workers train on.
+    #
     # Keep freed memory in the heap. Each epoch frees a tape of n x h arrays and
     # builds one of the same sizes; left to itself glibc serves them by mmap or
     # trims the heap top, so every epoch faults its pages in again. The worker
@@ -314,6 +331,14 @@ def _score_worker(conn, program_text, graph, split, cfg, set_blas_threads, mallo
         conn.close()
 
 
+def check_split(split):
+    """Raise ValueError for a split no candidate can be scored on: fitness is
+    validation accuracy, so one without validation nodes."""
+    if not split.val:
+        raise ValueError("no validation nodes (a candidate's fitness is its "
+                         "validation accuracy)")
+
+
 def score_individual(program_text, graph, split, cfg):
     """Score one program in a worker process with a hard wall-clock timeout."""
     results = evaluate_batch([program_text], graph, split, cfg, pool_size=1)
@@ -325,20 +350,33 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
 
     Each job runs in its own process; jobs that exceed cfg.timeout_seconds are
     terminated and reported as discarded(timeout), and a process that exits
-    without sending a result is reported as discarded(crash).
+    without sending a result is reported as discarded(crash). A split that
+    `check_split` rejects raises before any fork. While the batch runs the
+    parent's BLAS holds one thread, so every worker forks with one (the pool
+    already runs a worker per core); the parent's count is restored when the
+    batch ends, however it ends.
     """
+    check_split(split)
+    blas = blas_threads()
+    parent_threads = blas.get_num_threads() if blas is not None else None
+    try:
+        _set_blas_threads(blas, 1)
+        return _run_batch(texts, graph, split, cfg, pool_size)
+    finally:
+        _set_blas_threads(blas, parent_threads)
+
+
+def _run_batch(texts, graph, split, cfg, pool_size):
     ctx = mp.get_context("fork")
     results = [None] * len(texts)
     pending = {}  # idx -> (process, conn, start_time)
     next_idx = 0
-    set_blas_threads = blas_set_num_threads()  # resolved once, inherited over fork
     mallopt = libc_mallopt()
 
     def launch(i):
         parent, child = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_score_worker,
-                           args=(child, texts[i], graph, split, cfg, set_blas_threads,
-                                 mallopt),
+                           args=(child, texts[i], graph, split, cfg, mallopt),
                            daemon=True)
         proc.start()
         child.close()

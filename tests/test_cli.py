@@ -18,9 +18,19 @@ def dataset(tmp_path):
     return path
 
 
+@pytest.fixture
+def no_val_dataset(tmp_path):
+    """A dataset whose stored split has no validation nodes."""
+    g = graphs.gen_synthetic(40, 2, 0.85, 6.0, 8, 1.0, seed=11)
+    g.splits = graphs.Split.unchecked(range(20), (), range(20, 40))
+    path = tmp_path / "noval.json"
+    graphs.save_dataset(g, path)
+    return path
+
+
 def blas_pin():
-    setter = training.blas_set_num_threads()
-    return setter.__name__ if setter is not None else None
+    blas = training.blas_threads()
+    return blas.set_num_threads.__name__ if blas is not None else None
 
 
 def keep_freed_heap():
@@ -52,6 +62,12 @@ class TestUsage:
                     "--split", split]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
+
+    @pytest.mark.parametrize("split", ["0.5,0,0.5", "from-file"])
+    def test_split_without_validation_is_usage_error(self, no_val_dataset, capsys, split):
+        assert run(["eval", "--dataset", no_val_dataset, "--mechanism", "gcn",
+                    "--split", split]) == 1
+        assert capsys.readouterr().err.startswith("usage error: split: no validation nodes")
 
     def test_missing_dataset_file(self, capsys):
         assert run(["eval", "--dataset", "/nonexistent.json",
@@ -167,6 +183,7 @@ class TestSearch:
         records = [c for line in (out / "generations.jsonl").read_text().splitlines()
                    for c in json.loads(line)["candidates"]]
         assert records and all("cpu_seconds" in r and "peak_rss_mb" in r for r in records)
+        assert all(0 < r["best_epoch"] <= r["epochs_run"] for r in records if r["status"] == "ok")
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert 0.0 <= summary["best_fitness"] <= 1.0
 
@@ -207,6 +224,21 @@ class TestSearch:
         assert run(["search", "--config", path, "--out-dir", tmp_path / "run"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
+
+    @pytest.mark.parametrize("split, flags", [({"ratios": [0.5, 0.0, 0.5]}, []),
+                                              ({"from_file": True}, []),
+                                              ({"ratios": [0.3, 0.2, 0.5]},
+                                               ["--split", "0.5,0,0.5"])])
+    def test_split_without_validation_is_usage_error(self, no_val_dataset, tmp_path, capsys,
+                                                     split, flags):
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        path = self.write_config(tmp_path, no_val_dataset, replay)
+        cfg = json.loads(path.read_text())
+        cfg["split"] = split
+        path.write_text(json.dumps(cfg))
+        assert run(["search", "--config", path, "--out-dir", tmp_path / "run", *flags]) == 1
+        assert capsys.readouterr().err.startswith("usage error: split: no validation nodes")
+        assert not (tmp_path / "run").exists()
 
     def test_bad_train_config_is_usage_error(self, dataset, tmp_path, capsys):
         replay = make_replay_file(tmp_path, full_replay_records(1))

@@ -232,6 +232,8 @@ class TestFitnessMemo:
         assert all(r["cpu_seconds"] == r["peak_rss_mb"] == 0.0 for r in repeats)
         assert {r["fitness"] for r in gen_log["candidates"]} == {first["fitness"]}
         assert {r["epochs_run"] for r in gen_log["candidates"]} == {first["epochs_run"]}
+        assert first["best_epoch"] >= 1
+        assert {r["best_epoch"] for r in gen_log["candidates"]} == {first["best_epoch"]}
 
     @pytest.mark.parametrize("reason, resent", [("timeout", True), ("crash", True),
                                                 ("numeric", False)])
@@ -265,8 +267,8 @@ class TestFitnessMemo:
         for hit in hits:
             source = by_id[hit["memo_of"]]
             assert "memo_of" not in source and source["id"] < hit["id"]
-            assert (hit["status"], hit["fitness"], hit["epochs_run"]) == \
-                (source["status"], source["fitness"], source["epochs_run"])
+            assert (hit["status"], hit["fitness"], hit["epochs_run"], hit["best_epoch"]) == \
+                (source["status"], source["fitness"], source["epochs_run"], source["best_epoch"])
 
 
 class TestRunSearch:

@@ -3,7 +3,8 @@
 import ctypes
 import os
 import platform
-from pathlib import Path
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,10 +165,20 @@ class TestScoring:
         assert record["cpu_seconds"] == round(res.cpu_seconds, 3)
         assert record["peak_rss_mb"] == round(res.peak_rss_mb, 1)
 
+    def test_record_carries_best_epoch(self, scored_setup):
+        g, split, cfg = scored_setup
+        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        asm = training.build_assembly(dsl.builtin("gcn"), g, cfg)
+        metrics = training.train(asm, g, split, cfg)
+        assert 1 <= res.best_epoch <= res.epochs_run
+        assert (res.best_epoch, res.epochs_run) == (metrics.best_epoch, metrics.epochs_run)
+        assert res.to_dict()["best_epoch"] == res.best_epoch
+
     def test_unparseable_text(self, scored_setup):
         g, split, cfg = scored_setup
         res = training.score_individual("not a program", g, split, cfg)
         assert res.status == "discarded" and res.reason == "parse"
+        assert res.to_dict()["best_epoch"] == res.to_dict()["epochs_run"] == 0
         assert res.cpu_seconds >= 0 and res.peak_rss_mb > 1
 
     def test_shape_failure(self, scored_setup):
@@ -256,6 +267,23 @@ class TestScoring:
         assert a[0].fitness == a[1].fitness == b.fitness
 
 
+class TestEmptyValidation:
+    @pytest.mark.parametrize("ratios, stratified", [((0.5, 0.0, 0.5), False),
+                                                    ((0.5, 0.0, 0.5), True),
+                                                    ((0.5, 0.04, 0.46), True)])
+    def test_batch_rejected_before_any_fork(self, monkeypatch, ratios, stratified):
+        g = graphs.gen_synthetic(60, 3, 0.8, 6.0, 8, 1.0, seed=7)     # 20 nodes per class
+        split = graphs.make_split(60, ratios, labels=g.labels, seed=0, stratified=stratified)
+        assert split.val == ()
+
+        def no_fork(*args):
+            raise AssertionError("forked")
+        monkeypatch.setattr(training.mp, "get_context", no_fork)
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        with pytest.raises(ValueError, match="no validation nodes"):
+            training.evaluate_batch([dsl.builtin("gcn")], g, split, cfg)
+
+
 class TestKeepFreedHeap:
     def test_worker_sets_allocator_before_scoring(self, sep_graph, sep_split, monkeypatch):
         calls = []
@@ -283,33 +311,84 @@ class TestKeepFreedHeap:
         assert training.libc_mallopt.__wrapped__() is None
 
 
-def _blas_getter(setter):
-    """The `get_num_threads` partner of the resolved setter, from numpy's wheel."""
-    name = setter.__name__.replace("set_num_threads", "get_num_threads")
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        return getattr(ctypes.CDLL(str(path)), name)
-    pytest.skip("numpy's OpenBLAS is not bundled in numpy.libs")
+def _thread_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+def _sleep_past_timeout(*args):
+    time.sleep(30)
+
+
+def _raise(*args):
+    raise RuntimeError("engine bug")
 
 
 class TestBlasPin:
-    def test_worker_runs_one_blas_thread(self, sep_graph, sep_split, monkeypatch):
-        setter = training.blas_set_num_threads()
-        if setter is None:
-            pytest.skip("numpy's BLAS has no set_num_threads entry point")
-        getter = _blas_getter(setter)
-        before = getter()
+    @pytest.fixture
+    def blas(self):
+        """numpy's OpenBLAS entry points, with the parent at 2 threads while the test runs."""
+        blas = training.blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS has no get/set_num_threads entry points")
+        before = blas.get_num_threads()
+        blas.set_num_threads(2)     # a count the batch must lower and then restore
+        yield blas
+        blas.set_num_threads(before)
+
+    def test_worker_runs_one_blas_thread(self, blas, sep_graph, sep_split, monkeypatch):
         monkeypatch.setattr(training, "_score_impl",
-                            lambda *args: training.FitResult("ok", fitness=getter()))
+                            lambda *args: training.FitResult("ok", fitness=blas.get_num_threads()))
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
         res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
         assert res[0].fitness == 1
-        assert getter() == before      # only the worker is pinned
+        assert blas.get_num_threads() == 2      # the parent's count is restored
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    @pytest.mark.skipif(training.USABLE_CORES == 1, reason="OpenBLAS starts no helper")
+    def test_worker_starts_with_no_blas_helper(self, blas, sep_graph, sep_split,
+                                               monkeypatch):
+        monkeypatch.setattr(training, "_score_impl",
+                            lambda *args: training.FitResult("ok", fitness=_thread_count()))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        res = training.evaluate_batch(["a", "b"], sep_graph, sep_split, cfg, pool_size=2)
+        assert [r.fitness for r in res] == [1, 1]
+
+    @pytest.mark.parametrize("score, reason", [(_sleep_past_timeout, "timeout"),
+                                               (_raise, "internal"),
+                                               (lambda *args: os._exit(3), "crash")])
+    def test_parent_count_restored_after_failed_worker(self, blas, sep_graph, sep_split,
+                                                       monkeypatch, score, reason):
+        monkeypatch.setattr(training, "_score_impl", score)
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8, timeout_seconds=1)
+        res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        assert res[0].reason == reason
+        assert blas.get_num_threads() == 2
+
+    def test_parent_count_restored_when_batch_raises(self, blas, sep_graph, sep_split,
+                                                     monkeypatch):
+        seen = []
+
+        def wait(*args, **kwargs):
+            seen.append(blas.get_num_threads())
+            raise RuntimeError("interrupted")
+        monkeypatch.setattr(training.connection, "wait", wait)
+        monkeypatch.setattr(training, "_score_impl", lambda *args: training.FitResult("ok"))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        assert seen == [1] and blas.get_num_threads() == 2
 
     def test_scores_when_nothing_resolves(self, sep_graph, sep_split, monkeypatch):
-        monkeypatch.setattr(training, "blas_set_num_threads", lambda: None)
+        monkeypatch.setattr(training, "blas_threads", lambda: None)
         cfg = training.TrainConfig(max_epochs=5, patience=5, hidden=8)
         res = training.score_individual(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
         assert res.ok
+
+    @pytest.mark.parametrize("missing", ["get_num_threads", "set_num_threads"])
+    def test_resolver_needs_both_entry_points(self, blas, monkeypatch, missing):
+        present = {fn.__name__: fn for name, fn in blas._asdict().items() if name != missing}
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(**present))
+        assert training.blas_threads.__wrapped__() is None
 
     @pytest.mark.parametrize("config", [
         {"Build Dependencies": {"blas": {"name": "mkl-sdl"}}},
@@ -321,11 +400,11 @@ class TestBlasPin:
     ])
     def test_resolver_finds_nothing_without_openblas(self, monkeypatch, config):
         monkeypatch.setattr(np, "show_config", lambda mode: config)
-        assert training.blas_set_num_threads.__wrapped__() is None
+        assert training.blas_threads.__wrapped__() is None
 
     def test_resolver_finds_nothing_on_old_numpy(self, monkeypatch):
         monkeypatch.setattr(np, "show_config", lambda: None)   # no `mode` argument
-        assert training.blas_set_num_threads.__wrapped__() is None
+        assert training.blas_threads.__wrapped__() is None
 
     def test_default_pool_size_is_usable_cores(self):
         assert training.USABLE_CORES == len(os.sched_getaffinity(0))
