@@ -192,7 +192,7 @@ def cmd_eval(args):
     else:
         ratios = _parse_split(args.split) if args.split else (0.025, 0.025, 0.95)
         split = _make_split(graph, ratios, train_cfg.seed)
-    res = training.score_individual(text, graph, split, train_cfg)
+    (res,) = training.evaluate_batch([text], graph, split, train_cfg, pool_size=1)
     if not res.ok:
         print(json.dumps({"status": res.reason}))
         return 2
@@ -201,18 +201,19 @@ def cmd_eval(args):
 
 
 def _matrix_rows(mech_specs, dataset_paths, args):
+    """One row per mechanism, one test-accuracy column per dataset, each column
+    scored as one batch."""
     train_cfg = _train_cfg_from(args)
     ratios = _parse_split(args.split) if args.split else (0.025, 0.025, 0.95)
-    rows = []
     datasets = [(Path(p).stem, graphs.load_dataset(p)) for p in dataset_paths]
-    for spec in mech_specs:
-        name, text = _resolve_mechanism(spec)
-        row = [name]
-        for _, graph in datasets:
-            split = _make_split(graph, ratios, train_cfg.seed)
-            res = training.score_individual(text, graph, split, train_cfg)
+    mechs = [_resolve_mechanism(spec) for spec in mech_specs]
+    rows = [[name] for name, _ in mechs]
+    for _, graph in datasets:
+        split = _make_split(graph, ratios, train_cfg.seed)
+        results = training.evaluate_batch([text for _, text in mechs], graph, split,
+                                          train_cfg)
+        for row, res in zip(rows, results):
             row.append(_cell(res.test_accuracy) if res.ok else res.reason)
-        rows.append(row)
     return [["mechanism"] + [n for n, _ in datasets]] + rows
 
 

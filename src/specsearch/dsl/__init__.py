@@ -1,4 +1,8 @@
-"""Propagation-mechanism DSL: parser, canonical printer, shape checker, compiler, corpus."""
+"""Propagation-mechanism DSL: parser, canonical printer, corpus, and the two
+halves of executing a program. The front end (`check_shapes`) lowers a parsed
+program, with no arrays, into a `TypedProgram`: static shapes, folded
+constants and a flat op list. The back end (`compile_program`) materialises
+one for a graph, seed and dtype as a `CompiledMechanism`."""
 
 from .nodes import (Assign, Bin, Call, GraphDef, Index, Name, Num, ParamDecl,
                     Program, Unary)

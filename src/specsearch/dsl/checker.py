@@ -1,47 +1,62 @@
-"""Shape inference for parsed programs under concrete dims {n, f, h, c}."""
+"""The front end: lower a parsed program under concrete dims {n, f, h, c}.
+
+One walk over the AST unrolls the K-step loop with k bound, folds compile-time
+scalars (literals, consts, K, k and arithmetic or `pow` over them) to Python
+floats, infers the static shape of every value and emits each tensor operation
+as one entry of a flat op list. The result holds no array and no AST node:
+`compiler.compile_program` materialises it for one graph, seed and dtype.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 
-from ..errors import ShapeMismatch, UndeclaredIdentifier
+from ..errors import CompileError, NumericalError, ShapeMismatch, UndeclaredIdentifier
+from ..graphs import LaplacianVariant, Variant
 from .nodes import Bin, Call, Index, Name, Num, Unary
 
-# Shape values: ("mat", rows, cols) for tensors, ("graph", n) for sparse
-# operators, ("num",) for compile-time scalars (consts, literals, loop index).
-NUM = ("num",)
+_CTOR_TO_VARIANT = {
+    "sym_norm": Variant.ADJ_SYM_NORM,
+    "rw_norm": Variant.ADJ_RW_NORM,
+    "laplacian": Variant.COMBINATORIAL,
+    "sym_laplacian": Variant.SYM_LAPLACIAN,
+    "scaled_laplacian": Variant.SCALED_LAPLACIAN,
+    "pruned_norm": Variant.PRUNED_NORM,
+}
+
+# Arguments each call takes; the one-argument calls act on one tensor.
+_ARITY = {"relu": 1, "elu": 1, "tanh": 1, "sigmoid": 1, "softmax_rows": 1,
+          "sum_rows": 1, "spmm": 2, "pow": 2, "concat": 2, "attn_agg": 4}
+
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "pow": operator.pow}
+
+
+@dataclass(frozen=True)
+class Op:
+    fn: str                     # "+", "-", "*", "/", "@", "neg" or a call's name
+    args: tuple                 # input slots
+    out: int                    # output slot
+    shape: tuple                # (rows, cols) of the result
 
 
 @dataclass
 class TypedProgram:
-    program: object
-    dims: dict
-    param_shapes: dict          # name -> (rows, cols); arrays share one shape
+    """A lowered program. Slots 0 and 1 are X and X_raw, bound per forward call;
+    every other slot holds a parameter, a graph operator, a constant or an
+    op's result."""
+    params: tuple               # (slot, name, (rows, cols), init) in declaration order;
+                                # array entries are named "W[1]".."W[length]"
+    operators: tuple            # (slot, name, LaplacianVariant)
+    consts: tuple               # (slot, float) passed to ops as a Python float
+    unit_tensors: tuple         # (slot, float) held as a 1x1 tensor
+    ops: tuple                  # Op..., in evaluation order
+    num_slots: int
+    out: int                    # the slot of Y
     out_shape: tuple
-    warnings: list = field(default_factory=list)
-
-
-def _resolve_dim(d, dims, where):
-    if isinstance(d, int):
-        return d
-    if d in dims:
-        return dims[d]
-    raise ShapeMismatch(f"{where}: unknown dimension symbol {d!r}")
-
-
-def param_shape(decl, dims):
-    """Concrete (rows, cols) of a parameter declaration."""
-    if decl.kind == "scalar":
-        return (1, 1)
-    if decl.kind == "vector":
-        d = _resolve_dim(decl.dims[0], dims, f"param {decl.name}")
-        # vector(n) is a per-node column; any other vector is a row (bias-like).
-        if decl.dims[0] == "n":
-            return (d, 1)
-        return (1, d)
-    r = _resolve_dim(decl.dims[0], dims, f"param {decl.name}")
-    c = _resolve_dim(decl.dims[1], dims, f"param {decl.name}")
-    return (r, c)
+    warnings: list
 
 
 def _span(e):
@@ -50,181 +65,230 @@ def _span(e):
     return ""
 
 
-class _Checker:
+def _fold(op, a, b):
+    """Evaluate a scalar op at compile time; the result must be a finite float."""
+    try:
+        v = _SCALAR_OPS[op](a, b)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"{op} on compile-time scalars {a:g}, {b:g}: {exc}") from None
+    if not (isinstance(v, float) and math.isfinite(v)):
+        raise NumericalError(f"{op} on compile-time scalars {a:g}, {b:g} is not a finite real")
+    return v
+
+
+def _param_shape(decl, dims):
+    """Concrete (rows, cols) of a parameter declaration."""
+    if decl.kind == "scalar":
+        return (1, 1)
+    sizes = [dims.get(d, d) for d in decl.dims]
+    if decl.kind == "vector":
+        # vector(n) is a per-node column; any other vector is a row (bias-like).
+        return (sizes[0], 1) if decl.dims[0] == "n" else (1, sizes[0])
+    return tuple(sizes)
+
+
+class _Lowering:
     def __init__(self, prog, dims):
-        self.prog = prog
-        self.dims = dims
-        self.warnings = []
-        self.param_shapes = {}
-        self.arrays = {}
+        self.prog, self.dims = prog, dims
         n, h = dims["n"], dims["h"]
-        self.env = {"X": ("mat", n, h), "X_raw": ("mat", n, h)}
+        # Slot shapes: ("mat", rows, cols) for tensors, ("graph", n) for sparse
+        # operators, None for constants.
+        self.shapes = [("mat", n, h), ("mat", n, h)]
+        self.ops, self.consts, self.unit_tensors, self.warnings = [], [], [], []
+        # Name -> slot, or a float for a compile-time scalar; array parameter
+        # name -> its slots, index i at [i - 1].
+        self.env = {"X": 0, "X_raw": 1}
+        self.arrays = {}
+        params = []
         for decl in prog.params:
-            shp = param_shape(decl, dims)
-            self.param_shapes[decl.name] = shp
-            if decl.array is not None:
-                length = prog.loop_count if decl.array == "K" else decl.array
-                self.arrays[decl.name] = length
-            else:
-                self.env[decl.name] = ("mat",) + shp
+            shape = _param_shape(decl, dims)
+            if decl.array is None:
+                self.env[decl.name] = slot = self._slot(("mat",) + shape)
+                params.append((slot, decl.name, shape, decl.init))
+                continue
+            length = prog.loop_count if decl.array == "K" else decl.array
+            self.arrays[decl.name] = [self._slot(("mat",) + shape) for _ in range(length)]
+            params += [(slot, f"{decl.name}[{i}]", shape, decl.init)
+                       for i, slot in enumerate(self.arrays[decl.name], start=1)]
+        self.params = tuple(params)
+        operators = []
         for g in prog.graph_defs:
-            self.env[g.name] = ("graph", n)
-        for cname, _ in prog.consts:
-            self.env[cname] = NUM
-        self.env["K"] = NUM
+            self.env[g.name] = slot = self._slot(("graph", n))
+            operators.append((slot, g.name,
+                              LaplacianVariant(_CTOR_TO_VARIANT[g.ctor], g.self_loop)))
+        self.operators = tuple(operators)
+        self.env.update((name, float(v)) for name, v in prog.consts)
+        self.env["K"] = float(prog.loop_count)
 
     def run(self):
-        self.check_block(self.prog.init_block)
-        if self.prog.has_step:
-            self.env["k"] = NUM
-            before = dict(self.env)
-            self.check_block(self.prog.step_block)
-            for st in self.prog.step_block:
-                if st.target in before and before[st.target] != self.env[st.target]:
+        prog = self.prog
+        self.block(prog.init_block)
+        for k in range(1, prog.loop_count + 1) if prog.has_step else ():
+            self.env["k"] = float(k)
+            before = {st.target: self._shape(self.env[st.target])
+                      for st in prog.step_block if st.target in self.env}
+            self.block(prog.step_block)
+            for st in prog.step_block:
+                if st.target in before and before[st.target] != self._shape(self.env[st.target]):
                     raise ShapeMismatch(
                         f"{st.target} changes shape across loop iterations: "
-                        f"{before[st.target]} -> {self.env[st.target]}{_span(st)}")
-            del self.env["k"]
-        if self.prog.has_final:
-            self.check_block(self.prog.final_block)
-        out = self.infer(self.prog.out_expr)
+                        f"{before[st.target]} -> {self._shape(self.env[st.target])}{_span(st)}")
+        self.env.pop("k", None)
+        self.block(prog.final_block)
+        out = self.lower(prog.out_expr)
         n, h, c = self.dims["n"], self.dims["h"], self.dims["c"]
-        if out == NUM or out[0] != "mat" or (out[1], out[2]) not in ((n, h), (n, c)):
-            raise ShapeMismatch(
-                f"output must be n x h or n x c, got {out}")
-        return TypedProgram(program=self.prog, dims=dict(self.dims),
-                            param_shapes=dict(self.param_shapes),
-                            out_shape=(out[1], out[2]),
-                            warnings=self.warnings)
+        shape = self._shape(out)
+        if shape is None or shape[0] != "mat" or shape[1:] not in ((n, h), (n, c)):
+            raise ShapeMismatch(f"output must be n x h or n x c, got {shape}")
+        return TypedProgram(params=self.params, operators=self.operators,
+                            consts=tuple(self.consts), unit_tensors=tuple(self.unit_tensors),
+                            ops=tuple(self.ops), num_slots=len(self.shapes), out=out,
+                            out_shape=shape[1:], warnings=self.warnings)
 
-    def check_block(self, stmts):
+    def block(self, stmts):
         for st in stmts:
-            self.env[st.target] = self.infer(st.expr)
+            self.env[st.target] = self.lower(st.expr)
 
-    def _mat(self, s, e, what):
-        if s == NUM:
-            return ("mat", 1, 1)
-        if s[0] != "mat":
-            raise ShapeMismatch(f"{what}: expected a tensor, got {s}{_span(e)}")
-        return s
+    # -- slots and shapes -----------------------------------------------------
 
-    def infer(self, e):
+    def _slot(self, shape=None):
+        self.shapes.append(shape)
+        return len(self.shapes) - 1
+
+    def _shape(self, v):
+        """A slot's shape; None for a compile-time scalar."""
+        return None if isinstance(v, float) else self.shapes[v]
+
+    def _mat(self, v, e, what):
+        """(rows, cols) of a tensor value; a compile-time scalar is 1 x 1."""
+        if isinstance(v, float):
+            return (1, 1)
+        if self.shapes[v][0] != "mat":
+            raise ShapeMismatch(f"{what}: expected a tensor, got {self.shapes[v]}{_span(e)}")
+        return self.shapes[v][1:]
+
+    def _graph(self, v, e, what):
+        """The node count of a graph-operator value."""
+        if isinstance(v, float) or self.shapes[v][0] != "graph":
+            raise ShapeMismatch(f"{what}: first argument must be a graph operator{_span(e)}")
+        return self.shapes[v][1]
+
+    def _op(self, fn, shape, *args):
+        """Append fn(*args) to the op list; float args become constant slots."""
+        args = tuple(self._const(a, self.consts) if isinstance(a, float) else a for a in args)
+        out = self._slot(("mat",) + shape)
+        self.ops.append(Op(fn, args, out, shape))
+        return out
+
+    def _const(self, value, table):
+        slot = self._slot()
+        table.append((slot, value))
+        return slot
+
+    def _warn(self, message):
+        # The loop is unrolled, so a step block's warnings would repeat K times.
+        if message not in self.warnings:
+            self.warnings.append(message)
+
+    # -- expressions ----------------------------------------------------------
+
+    def lower(self, e):
+        """A float for a compile-time scalar, else the slot holding e's value."""
         if isinstance(e, Num):
-            return NUM
+            return float(e.value)
         if isinstance(e, Name):
-            if e.ident not in self.env:
-                if e.ident in self.arrays:
-                    raise ShapeMismatch(
-                        f"array parameter {e.ident!r} must be indexed{_span(e)}")
-                raise UndeclaredIdentifier(f"undeclared identifier {e.ident!r}{_span(e)}")
-            return self.env[e.ident]
+            if e.ident in self.env:
+                return self.env[e.ident]
+            if e.ident in self.arrays:
+                raise ShapeMismatch(f"array parameter {e.ident!r} must be indexed{_span(e)}")
+            raise UndeclaredIdentifier(f"undeclared identifier {e.ident!r}{_span(e)}")
         if isinstance(e, Index):
             if e.name not in self.arrays:
-                raise UndeclaredIdentifier(
-                    f"{e.name!r} is not an array parameter{_span(e)}")
-            idx = self.infer(e.index)
-            if idx != NUM:
+                raise UndeclaredIdentifier(f"{e.name!r} is not an array parameter{_span(e)}")
+            i = self.lower(e.index)
+            if not isinstance(i, float):
                 raise ShapeMismatch(f"array index must be a compile-time scalar{_span(e)}")
-            return ("mat",) + self.param_shapes[e.name]
+            slots = self.arrays[e.name]
+            if not (i.is_integer() and 1 <= i <= len(slots)):
+                raise CompileError(f"index {i:g} of {e.name!r} is not an integer in "
+                                   f"1..{len(slots)}{_span(e)}")
+            return slots[int(i) - 1]
         if isinstance(e, Unary):
-            return self.infer(e.operand)
+            v = self.lower(e.operand)
+            return -v if isinstance(v, float) else self._op("neg", self._mat(v, e, "-"), v)
         if isinstance(e, Bin):
-            return self._infer_bin(e)
+            return self._bin(e, self.lower(e.left), self.lower(e.right))
         if isinstance(e, Call):
-            return self._infer_call(e)
+            if len(e.args) != _ARITY[e.fn]:
+                raise ShapeMismatch(
+                    f"{e.fn} takes {_ARITY[e.fn]} arguments, got {len(e.args)}{_span(e)}")
+            return self._call(e, [self.lower(a) for a in e.args])
         raise TypeError(f"not an expression node: {e!r}")
 
-    def _infer_bin(self, e):
-        ls = self.infer(e.left)
-        rs = self.infer(e.right)
+    def _bin(self, e, a, b):
         op = e.op
+        if op == "/" and not (isinstance(e.right, Num) and e.right.value != 0):
+            self._warn(f"division whose denominator may reach zero{_span(e)}")
         if op == "@":
-            if NUM in (ls, rs):
+            if isinstance(a, float) or isinstance(b, float):
                 raise ShapeMismatch(f"@ requires tensor operands{_span(e)}")
-            lm = self._mat(ls, e, "matmul left")
-            rm = self._mat(rs, e, "matmul right")
-            if lm[2] != rm[1]:
-                raise ShapeMismatch(
-                    f"matmul inner dims differ: {lm[1]}x{lm[2]} @ {rm[1]}x{rm[2]}{_span(e)}")
-            return ("mat", lm[1], rm[2])
-        if op == "/":
-            if not (isinstance(e.right, Num) and e.right.value != 0):
-                self.warnings.append(
-                    f"division whose denominator may reach zero{_span(e)}")
-        if ls == NUM and rs == NUM:
-            return NUM
-        lm = self._mat(ls, e, f"operand of {op}")
-        rm = self._mat(rs, e, f"operand of {op}")
-        (lr, lc), (rr, rc) = lm[1:], rm[1:]
+            (lr, lc), (rr, rc) = self._mat(a, e, "matmul left"), self._mat(b, e, "matmul right")
+            if lc != rr:
+                raise ShapeMismatch(f"matmul inner dims differ: {lr}x{lc} @ {rr}x{rc}{_span(e)}")
+            return self._op(op, (lr, rc), a, b)
+        if isinstance(a, float) and isinstance(b, float):
+            return _fold(op, a, b)
+        lr, lc = self._mat(a, e, f"operand of {op}")
+        rr, rc = self._mat(b, e, f"operand of {op}")
         if not ((lr == rr or lr == 1 or rr == 1) and (lc == rc or lc == 1 or rc == 1)):
-            raise ShapeMismatch(
-                f"{op}: shapes {lr}x{lc} and {rr}x{rc} do not broadcast{_span(e)}")
-        return ("mat", max(lr, rr), max(lc, rc))
+            raise ShapeMismatch(f"{op}: shapes {lr}x{lc} and {rr}x{rc} do not broadcast{_span(e)}")
+        return self._op(op, (max(lr, rr), max(lc, rc)), a, b)
 
-    def _infer_call(self, e):
+    def _call(self, e, args):
         fn = e.fn
-        args = e.args
-
-        def need(k):
-            if len(args) != k:
-                raise ShapeMismatch(f"{fn} takes {k} arguments, got {len(args)}{_span(e)}")
-
-        if fn == "spmm":
-            need(2)
-            g = self.infer(args[0])
-            if g[0] != "graph":
-                raise ShapeMismatch(f"spmm: first argument must be a graph operator{_span(e)}")
-            x = self._mat(self.infer(args[1]), e, "spmm")
-            if x[1] != g[1]:
-                raise ShapeMismatch(
-                    f"spmm: operator is {g[1]}x{g[1]}, dense has {x[1]} rows{_span(e)}")
-            return x
-        if fn in ("relu", "elu", "tanh", "sigmoid", "softmax_rows"):
-            need(1)
-            return self._mat(self.infer(args[0]), e, fn)
-        if fn == "sum_rows":
-            need(1)
-            m = self._mat(self.infer(args[0]), e, fn)
-            return ("mat", m[1], 1)
+        if _ARITY[fn] == 1:
+            rows, cols = self._mat(args[0], e, fn)
+            if isinstance(args[0], float):
+                args[0] = self._const(args[0], self.unit_tensors)
+            return self._op(fn, (rows, 1) if fn == "sum_rows" else (rows, cols), args[0])
         if fn == "pow":
-            need(2)
-            base = self.infer(args[0])
-            expo = self.infer(args[1])
-            if expo != NUM:
+            base, expo = args
+            if not isinstance(expo, float):
                 raise ShapeMismatch(f"pow exponent must be a compile-time scalar{_span(e)}")
-            if base == NUM:
-                return NUM
-            bm = self._mat(base, e, "pow")
-            if bm[1:] != (1, 1):
-                raise ShapeMismatch(f"pow base must be scalar, got {bm[1]}x{bm[2]}{_span(e)}")
-            return bm
+            if isinstance(base, float):
+                return _fold("pow", base, expo)
+            rows, cols = self._mat(base, e, "pow")
+            if (rows, cols) != (1, 1):
+                raise ShapeMismatch(f"pow base must be scalar, got {rows}x{cols}{_span(e)}")
+            return self._op(fn, (1, 1), base, expo)
+        if fn == "spmm":
+            n = self._graph(args[0], e, fn)
+            rows, cols = self._mat(args[1], e, fn)
+            if rows != n:
+                raise ShapeMismatch(f"spmm: operator is {n}x{n}, dense has {rows} rows{_span(e)}")
+            return self._op(fn, (rows, cols), *args)
         if fn == "attn_agg":
-            need(4)
-            g = self.infer(args[0])
-            if g[0] != "graph":
-                raise ShapeMismatch(f"attn_agg: first argument must be a graph operator{_span(e)}")
-            n = g[1]
-            s1 = self._mat(self.infer(args[1]), e, "attn_agg")
-            s2 = self._mat(self.infer(args[2]), e, "attn_agg")
-            x = self._mat(self.infer(args[3]), e, "attn_agg")
-            if s1[1:] != (n, 1) or s2[1:] != (n, 1):
+            n = self._graph(args[0], e, fn)
+            s1, s2, (rows, cols) = (self._mat(a, e, fn) for a in args[1:])
+            if s1 != (n, 1) or s2 != (n, 1):
                 raise ShapeMismatch(f"attn_agg: scores must be {n}x1{_span(e)}")
-            if x[1] != n:
+            if rows != n:
                 raise ShapeMismatch(f"attn_agg: features must have {n} rows{_span(e)}")
-            return x
-        if fn == "concat":
-            need(2)
-            a = self._mat(self.infer(args[0]), e, "concat")
-            b = self._mat(self.infer(args[1]), e, "concat")
-            if a[1] != b[1]:
-                raise ShapeMismatch(f"concat: row counts differ{_span(e)}")
-            return ("mat", a[1], a[2] + b[2])
-        raise ShapeMismatch(f"unknown function {fn!r}{_span(e)}")
+            return self._op(fn, (rows, cols), *args)
+        (ra, ca), (rb, cb) = self._mat(args[0], e, fn), self._mat(args[1], e, fn)
+        if ra != rb:
+            raise ShapeMismatch(f"concat: row counts differ{_span(e)}")
+        return self._op(fn, (ra, ca + cb), *args)
 
 
 def check_shapes(prog, dims):
-    """Infer a shape for every expression; raises on any inconsistency."""
+    """Lower a parsed program: the one walk over its AST.
+
+    Raises ShapeMismatch or UndeclaredIdentifier for an inconsistent program,
+    CompileError for an array index outside its array, and NumericalError for
+    a compile-time scalar that is not a finite real.
+    """
     for key in ("n", "f", "h", "c"):
         if key not in dims:
             raise ValueError(f"dims must bind {key}")
-    return _Checker(prog, dims).run()
+    return _Lowering(prog, dims).run()

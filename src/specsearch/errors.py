@@ -17,6 +17,10 @@ class ShapeMismatch(SpecSearchError):
     """Raised when tensor shapes do not satisfy an operation's shape rule."""
 
 
+class CompileError(SpecSearchError):
+    """A program indexes an array parameter outside 1..length or by a non-integer."""
+
+
 class NumericalError(SpecSearchError):
     """Raised when a forward value or gradient becomes NaN/Inf."""
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dsl
-from .errors import NumericalError, SpecSearchError
+from .errors import (CompileError, DslSyntaxError, NumericalError, ShapeMismatch,
+                     UndeclaredIdentifier)
 
 # CPUs this process may run on when the module is imported: the default
 # number of scoring workers.
@@ -120,14 +121,22 @@ class ModelAssembly:
             t.data = snap[k].copy()
 
 
-def build_assembly(program_text, graph, cfg):
-    """parse -> shape-check -> compile -> wrap in the standard assembly."""
-    prog = dsl.parse(program_text)
+def lower(program_text, graph, cfg):
+    """The front end: parse a program and lower it for this graph and config."""
     dims = {"n": graph.num_nodes, "f": graph.num_features,
             "h": cfg.hidden, "c": graph.num_classes}
-    typed = dsl.check_shapes(prog, dims)
+    return dsl.check_shapes(dsl.parse(program_text), dims)
+
+
+def _assemble(typed, graph, cfg):
+    """The back end: materialise a lowered program inside the standard assembly."""
     mech = dsl.compile_program(typed, graph, seed=cfg.seed + 1, dtype=cfg.dtype)
     return ModelAssembly(mech, graph, cfg)
+
+
+def build_assembly(program_text, graph, cfg):
+    """parse -> lower -> materialise, wrapped in the standard assembly."""
+    return _assemble(lower(program_text, graph, cfg), graph, cfg)
 
 
 def evaluate(assembly, graph, index_set):
@@ -190,7 +199,9 @@ def train(assembly, graph, split, cfg):
 @dataclass
 class FitResult:
     status: str                 # "ok" or "discarded"
-    reason: str = None          # parse | shape | compile | numeric | timeout | crash | internal
+    # `discard_reason` of the exception that ended it (parse | shape | compile |
+    # numeric | internal; the first three forked no worker), or timeout | crash
+    reason: str = None
     fitness: float = None       # validation accuracy, only when ok
     test_accuracy: float = None
     epochs_run: int = 0
@@ -216,38 +227,27 @@ def _round(value, digits):
     return None if value is None else round(value, digits)
 
 
-def _score_impl(program_text, graph, split, cfg):
-    """parse -> shape-check -> compile -> train -> evaluate, as one FitResult.
+# A discarded candidate's reason, by the class of the exception that ended it;
+# an exception of any other class is "internal".
+_DISCARD_REASONS = ((DslSyntaxError, "parse"),
+                    ((ShapeMismatch, UndeclaredIdentifier), "shape"),
+                    (CompileError, "compile"),
+                    (NumericalError, "numeric"))
 
-    A SpecSearchError discards the program with its stage as the reason, a
-    NumericalError as "numeric"; during training anything else is raised.
-    """
-    start = time.monotonic()
-    stage = "parse"
-    try:
-        prog = dsl.parse(program_text)
-        stage = "shape"
-        dims = {"n": graph.num_nodes, "f": graph.num_features,
-                "h": cfg.hidden, "c": graph.num_classes}
-        typed = dsl.check_shapes(prog, dims)
-        stage = "compile"
-        mech = dsl.compile_program(typed, graph, seed=cfg.seed + 1, dtype=cfg.dtype)
-        assembly = ModelAssembly(mech, graph, cfg)
-        stage = "train"
-        metrics = train(assembly, graph, split, cfg)
-        fitness = evaluate(assembly, graph, split.val)
-        test_acc = evaluate(assembly, graph, split.test) if split.test else None
-    except NumericalError:
-        reason = "numeric"
-    except SpecSearchError:
-        if stage == "train":
-            raise
-        reason = stage
-    else:
-        return FitResult("ok", fitness=fitness, test_accuracy=test_acc,
-                         epochs_run=metrics.epochs_run, best_epoch=metrics.best_epoch,
-                         wall_seconds=time.monotonic() - start)
-    return FitResult("discarded", reason=reason, wall_seconds=time.monotonic() - start)
+
+def discard_reason(exc):
+    return next((reason for cls, reason in _DISCARD_REASONS if isinstance(exc, cls)),
+                "internal")
+
+
+def _score_impl(typed, graph, split, cfg):
+    """The back end of scoring: materialise, train and evaluate a lowered program."""
+    assembly = _assemble(typed, graph, cfg)
+    metrics = train(assembly, graph, split, cfg)
+    fitness = evaluate(assembly, graph, split.val)
+    test_acc = evaluate(assembly, graph, split.test) if split.test else None
+    return FitResult("ok", fitness=fitness, test_accuracy=test_acc,
+                     epochs_run=metrics.epochs_run, best_epoch=metrics.best_epoch)
 
 
 BlasThreads = namedtuple("BlasThreads", "get_num_threads set_num_threads")
@@ -305,7 +305,7 @@ def libc_mallopt():
     return mallopt
 
 
-def _score_worker(conn, program_text, graph, split, cfg, mallopt):
+def _score_worker(conn, typed, graph, split, cfg, mallopt):
     # The worker inherits a BLAS count of 1 from `evaluate_batch` and must not
     # call `set_num_threads` itself: OpenBLAS shuts its pool down at fork, and a
     # set in the child rebuilds it with nproc - 1 helpers that spin idle for
@@ -318,12 +318,14 @@ def _score_worker(conn, program_text, graph, split, cfg, mallopt):
     if mallopt is not None:
         mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
         mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
+    start = time.monotonic()
     try:
-        result = _score_impl(program_text, graph, split, cfg)
-    except Exception:
-        result = FitResult("discarded", reason="internal")
+        result = _score_impl(typed, graph, split, cfg)
+    except Exception as exc:
+        result = FitResult("discarded", reason=discard_reason(exc))
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    result = replace(result, cpu_seconds=usage.ru_utime + usage.ru_stime,
+    result = replace(result, wall_seconds=time.monotonic() - start,
+                     cpu_seconds=usage.ru_utime + usage.ru_stime,
                      peak_rss_mb=usage.ru_maxrss / _MAXRSS_PER_MIB)
     try:
         conn.send(result)
@@ -339,76 +341,91 @@ def check_split(split):
                          "validation accuracy)")
 
 
-def score_individual(program_text, graph, split, cfg):
-    """Score one program in a worker process with a hard wall-clock timeout."""
-    results = evaluate_batch([program_text], graph, split, cfg, pool_size=1)
-    return results[0]
-
-
 def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
-    """Score many programs concurrently; results come back in submission order.
+    """Score many programs; results come back in submission order.
 
-    Each job runs in its own process; jobs that exceed cfg.timeout_seconds are
-    terminated and reported as discarded(timeout), and a process that exits
-    without sending a result is reported as discarded(crash). A split that
-    `check_split` rejects raises before any fork. While the batch runs the
-    parent's BLAS holds one thread, so every worker forks with one (the pool
-    already runs a worker per core); the parent's count is restored when the
-    batch ends, however it ends.
+    The front end (`lower`) runs here, once per text: a text it rejects is
+    discarded with the reason its exception's class names, and no process
+    starts for it. Each lowered program is trained in its own forked process,
+    `pool_size` at a time; jobs that exceed cfg.timeout_seconds are killed and
+    reported as discarded(timeout), and a process that exits without sending a
+    result is reported as discarded(crash). A split that `check_split` rejects
+    raises before any of this. While workers run, the parent's BLAS holds one
+    thread, so every worker forks with one (the pool already runs a worker per
+    core); the parent's count is restored when the batch ends, however it ends.
     """
     check_split(split)
+    results = [None] * len(texts)
+    jobs = {}                       # index -> lowered program
+    for i, text in enumerate(texts):
+        start = time.monotonic()
+        try:
+            jobs[i] = lower(text, graph, cfg)
+        except Exception as exc:
+            results[i] = FitResult("discarded", reason=discard_reason(exc),
+                                   wall_seconds=time.monotonic() - start)
+    if not jobs:
+        return results
     blas = blas_threads()
     parent_threads = blas.get_num_threads() if blas is not None else None
     try:
         _set_blas_threads(blas, 1)
-        return _run_batch(texts, graph, split, cfg, pool_size)
+        _run_batch(jobs, results, graph, split, cfg, pool_size)
     finally:
         _set_blas_threads(blas, parent_threads)
+    return results
 
 
-def _run_batch(texts, graph, split, cfg, pool_size):
+def _stop(proc):
+    proc.kill()
+    proc.join()
+
+
+def _run_batch(jobs, results, graph, split, cfg, pool_size):
+    """Score `jobs` (index -> lowered program) in forked workers into `results`."""
     ctx = mp.get_context("fork")
-    results = [None] * len(texts)
+    todo = list(jobs.items())
     pending = {}  # idx -> (process, conn, start_time)
-    next_idx = 0
     mallopt = libc_mallopt()
 
-    def launch(i):
+    def launch(i, typed):
         parent, child = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_score_worker,
-                           args=(child, texts[i], graph, split, cfg, mallopt),
+                           args=(child, typed, graph, split, cfg, mallopt),
                            daemon=True)
         proc.start()
         child.close()
         pending[i] = (proc, parent, time.monotonic())
 
-    while next_idx < len(texts) or pending:
-        while next_idx < len(texts) and len(pending) < pool_size:
-            launch(next_idx)
-            next_idx += 1
-        deadline = min(started for _, _, started in pending.values()) + cfg.timeout_seconds
-        connection.wait([w for proc, conn, _ in pending.values() for w in (conn, proc.sentinel)],
-                        timeout=max(0.0, deadline - time.monotonic()))
-        for i in list(pending):
-            proc, conn, started = pending[i]
-            elapsed = time.monotonic() - started
-            if conn.poll() or not proc.is_alive():
-                try:
-                    results[i] = conn.recv()
-                except EOFError:    # the worker exited without sending a result
-                    results[i] = FitResult("discarded", reason="crash",
-                                           wall_seconds=elapsed)
-                proc.join()
-                conn.close()
-                del pending[i]
-            elif elapsed >= cfg.timeout_seconds:
-                proc.terminate()
-                proc.join(5)
-                if proc.is_alive():
-                    proc.kill()
+    try:
+        while todo or pending:
+            while todo and len(pending) < pool_size:
+                launch(*todo.pop(0))
+            deadline = min(started for _, _, started in pending.values()) + cfg.timeout_seconds
+            connection.wait([w for proc, conn, _ in pending.values()
+                             for w in (conn, proc.sentinel)],
+                            timeout=max(0.0, deadline - time.monotonic()))
+            for i in list(pending):
+                proc, conn, started = pending[i]
+                elapsed = time.monotonic() - started
+                if conn.poll() or not proc.is_alive():
+                    try:
+                        results[i] = conn.recv()
+                    except EOFError:    # the worker exited without sending a result
+                        results[i] = FitResult("discarded", reason="crash",
+                                               wall_seconds=elapsed)
                     proc.join()
-                conn.close()
-                results[i] = FitResult("discarded", reason="timeout",
-                                       wall_seconds=elapsed)
-                del pending[i]
-    return results
+                    conn.close()
+                    del pending[i]
+                elif elapsed >= cfg.timeout_seconds:
+                    _stop(proc)
+                    conn.close()
+                    results[i] = FitResult("discarded", reason="timeout",
+                                           wall_seconds=elapsed)
+                    del pending[i]
+    finally:
+        # Reached with workers still pending only when the loop raised (say, a
+        # KeyboardInterrupt in `connection.wait`): none may outlive the batch.
+        for proc, conn, _ in pending.values():
+            _stop(proc)
+            conn.close()

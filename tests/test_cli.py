@@ -127,6 +127,16 @@ class TestInspect:
         assert run(["inspect", "--mechanism", bad]) == 2
 
 
+    def test_step_division_warned_once(self, tmp_path, capsys):
+        mech = tmp_path / "div.mech"
+        mech.write_text("mechanism m { consts { K = 4; } graph { A = sym_norm(c=1); }"
+                        " init { Z = X; } step { Z = spmm(A, Z) / (1 + k); }"
+                        " out { Y = Z; } }")
+        assert run(["inspect", "--mechanism", mech]) == 0
+        warnings = capsys.readouterr().err.strip().splitlines()
+        assert len(warnings) == 1 and "division" in warnings[0]
+
+
 class TestXeval:
     def test_matrix_csv(self, dataset, tmp_path, capsys):
         g2 = graphs.gen_synthetic(70, 3, 0.2, 6.0, 8, 1.0, seed=12)
@@ -144,6 +154,36 @@ class TestXeval:
             for cell in cells[1:]:
                 assert 0.0 <= float(cell) <= 1.0
 
+
+    def test_one_batch_per_dataset(self, dataset, tmp_path, capsys, monkeypatch):
+        g2 = graphs.gen_synthetic(70, 3, 0.2, 6.0, 8, 1.0, seed=12)
+        d2 = tmp_path / "hetero.json"
+        graphs.save_dataset(g2, d2)
+        bad = tmp_path / "bad.mech"
+        bad.write_text("not a program")
+        real, calls = training.evaluate_batch, []
+
+        def spy(texts, *args, **kwargs):
+            calls.append(list(texts))
+            return real(texts, *args, **kwargs)
+        monkeypatch.setattr(training, "evaluate_batch", spy)
+        code = run(["xeval", "--datasets", f"{dataset},{d2}",
+                    "--mechanisms", f"gcn,{bad},appnp", "--split", "30,20,50"])
+        assert code == 0
+        texts = [dsl.builtin("gcn"), "not a program", dsl.builtin("appnp")]
+        assert calls == [texts, texts]
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "mechanism,data,hetero"
+        cfg = training.TrainConfig()
+        for col, path in enumerate([dataset, d2], start=1):
+            g = graphs.load_dataset(path)
+            split = graphs.make_split(g.num_nodes, (0.3, 0.2, 0.5), labels=g.labels, seed=0,
+                                      stratified=True)
+            for line, text in zip(lines[1:], texts):
+                (res,) = real([text], g, split, cfg, pool_size=1)
+                cell = f"{res.test_accuracy:.4f}" if res.ok else res.reason
+                assert line.split(",")[col] == cell
+        assert [line.split(",")[0] for line in lines[1:]] == ["gcn", "bad", "appnp"]
 
     def test_empty_test_split_gives_empty_cells(self, dataset, capsys):
         code = run(["xeval", "--datasets", dataset, "--mechanisms", "gcn,appnp",

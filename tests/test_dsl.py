@@ -1,4 +1,6 @@
-"""DSL parser, printer, shape checker, compiler, and builtin corpus."""
+"""DSL parser, printer, front end (lowering), back end, and builtin corpus."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from specsearch import autodiff as ad
 from specsearch import dsl, graphs
 from specsearch.dsl.corpus import SEARCHED_NAMES, SEED_NAMES
 from specsearch.dsl.parser import MAX_DEPTH, MAX_TEXT_CHARS
-from specsearch.errors import (DslSyntaxError, ShapeMismatch, UndeclaredIdentifier,
-                               UnknownBuiltin)
+from specsearch.dsl import nodes
+from specsearch.errors import (CompileError, DslSyntaxError, ShapeMismatch,
+                               UndeclaredIdentifier, UnknownBuiltin)
 
 from conftest import NESTING_KINDS, nested_program, path_graph
 
@@ -149,6 +152,74 @@ class TestShapeChecker:
 
     def test_output_shape_must_be_nh_or_nc(self):
         text = ("mechanism m { init { Z = sum_rows(X); } out { Y = Z; } }")
+        with pytest.raises(ShapeMismatch):
+            dsl.check_shapes(dsl.parse(text), DIMS)
+
+
+def _leaves(value):
+    """Every value inside nested dataclasses, tuples, lists and dicts."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (tuple, list)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+class TestLowering:
+    @pytest.mark.parametrize("name", dsl.builtin_names())
+    def test_static_shapes_match_arrays(self, name):
+        g = graphs.gen_synthetic(50, 3, 0.7, 5.0, 10, 1.0, seed=0)
+        typed = dsl.check_shapes(dsl.parse(dsl.builtin(name)), DIMS)
+        mech = dsl.compile_program(typed, g)
+        rng = np.random.default_rng(1)
+        x_in, x_raw = (ad.Tensor(rng.standard_normal((50, 16))) for _ in range(2))
+        vals = mech.slots.copy()
+        vals[0], vals[1] = x_in, x_raw
+        assert len(mech.ops) == len(typed.ops)
+        for (fn, args, out), op in zip(mech.ops, typed.ops):
+            vals[out] = fn(*[vals[i] for i in args])
+            assert vals[out].shape == op.shape, op
+        assert vals[typed.out].shape == typed.out_shape
+        assert mech(x_in, x_raw).shape == typed.out_shape
+
+    @pytest.mark.parametrize("name", dsl.builtin_names())
+    def test_lowered_program_holds_no_array_or_ast(self, name):
+        typed = dsl.check_shapes(dsl.parse(dsl.builtin(name)), DIMS)
+        ast_types = tuple(v for v in vars(nodes).values()
+                          if isinstance(v, type) and v.__module__ == nodes.__name__)
+        for leaf in _leaves(typed):
+            assert not isinstance(leaf, (np.ndarray, ad.Tensor) + ast_types), leaf
+
+    def test_parameters_in_declaration_order(self):
+        text = ("mechanism m { consts { K = 2; } params { a: scalar = const(0.5);"
+                " W: matrix(h, h)[K] = glorot; b: vector(h) = normal; }"
+                " init { Z = X; } step { Z = Z @ W[k] * a + b; } out { Y = Z; } }")
+        typed = dsl.check_shapes(dsl.parse(text), DIMS)
+        assert [(name, shape, init) for _, name, shape, init in typed.params] == [
+            ("a", (1, 1), ("const", 0.5)), ("W[1]", (16, 16), "glorot"),
+            ("W[2]", (16, 16), "glorot"), ("b", (1, 16), "normal")]
+
+    def test_loop_unrolled_and_constants_folded(self):
+        text = ("mechanism m { consts { K = 3; alpha = 0.5; } graph { A = sym_norm(c=1); }"
+                " init { Z = X; } step { Z = spmm(A, Z) * (alpha * k); } out { Y = Z; } }")
+        typed = dsl.check_shapes(dsl.parse(text), DIMS)
+        assert [op.fn for op in typed.ops] == ["spmm", "*"] * 3
+        assert [value for _, value in typed.consts] == [0.5, 1.0, 1.5]
+        assert [variant for _, _, variant in typed.operators] == [
+            graphs.LaplacianVariant(graphs.Variant.ADJ_SYM_NORM, 1.0)]
+
+    @pytest.mark.parametrize("index", ["k + 1", "0", "1.5"])
+    def test_index_outside_array_is_compile_error(self, index):
+        text = ("mechanism m { consts { K = 2; } params { W: matrix(h, h)[K] = glorot; }"
+                f" init {{ Z = X; }} step {{ Z = Z @ W[{index}]; }} out {{ Y = Z; }} }}")
+        with pytest.raises(CompileError):
+            dsl.check_shapes(dsl.parse(text), DIMS)
+
+    def test_negating_a_graph_operator_is_shape_error(self):
+        text = ("mechanism m { graph { A = sym_norm(c=1); }"
+                " init { Z = spmm(-A, X); } out { Y = Z; } }")
         with pytest.raises(ShapeMismatch):
             dsl.check_shapes(dsl.parse(text), DIMS)
 

@@ -1,6 +1,7 @@
 """Model assembly, the training loop, and fitness scoring with timeouts."""
 
 import ctypes
+import multiprocessing as mp
 import os
 import platform
 import time
@@ -12,6 +13,8 @@ import pytest
 from specsearch import autodiff as ad
 from specsearch import dsl, graphs, training
 from specsearch.dsl.parser import MAX_DEPTH
+from specsearch.errors import (CompileError, DslSyntaxError, NumericalError, ShapeMismatch,
+                               SpecSearchError, UndeclaredIdentifier)
 
 from conftest import NESTING_KINDS, OVERSIZED_PROGRAM, nested_program
 
@@ -26,6 +29,12 @@ mechanism m {
   out { Y = Z; }
 }
 """
+
+
+def score(text, graph, split, cfg):
+    """One program through `evaluate_batch`, in one worker."""
+    (res,) = training.evaluate_batch([text], graph, split, cfg, pool_size=1)
+    return res
 
 
 def one_hot_graph(n=60, c=3, seed=0):
@@ -156,7 +165,7 @@ class TestScoring:
 
     def test_valid_program_ok(self, scored_setup):
         g, split, cfg = scored_setup
-        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        res = score(dsl.builtin("gcn"), g, split, cfg)
         assert res.ok
         assert 0.0 <= res.fitness <= 1.0
         assert res.epochs_run <= cfg.max_epochs
@@ -167,7 +176,7 @@ class TestScoring:
 
     def test_record_carries_best_epoch(self, scored_setup):
         g, split, cfg = scored_setup
-        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        res = score(dsl.builtin("gcn"), g, split, cfg)
         asm = training.build_assembly(dsl.builtin("gcn"), g, cfg)
         metrics = training.train(asm, g, split, cfg)
         assert 1 <= res.best_epoch <= res.epochs_run
@@ -176,15 +185,16 @@ class TestScoring:
 
     def test_unparseable_text(self, scored_setup):
         g, split, cfg = scored_setup
-        res = training.score_individual("not a program", g, split, cfg)
+        res = score("not a program", g, split, cfg)
         assert res.status == "discarded" and res.reason == "parse"
         assert res.to_dict()["best_epoch"] == res.to_dict()["epochs_run"] == 0
-        assert res.cpu_seconds >= 0 and res.peak_rss_mb > 1
+        assert 0 < res.wall_seconds < 1     # the front end's time, in this process
+        assert res.cpu_seconds is None and res.peak_rss_mb is None
 
     def test_shape_failure(self, scored_setup):
         g, split, cfg = scored_setup
         bad = "mechanism m { init { Z = X @ X; } out { Y = Z; } }"
-        res = training.score_individual(bad, g, split, cfg)
+        res = score(bad, g, split, cfg)
         assert res.reason == "shape"
 
     def test_unexpected_exception_is_internal(self, scored_setup, monkeypatch):
@@ -192,13 +202,13 @@ class TestScoring:
             raise RuntimeError("engine bug")
         monkeypatch.setattr(training, "train", broken_train)
         g, split, cfg = scored_setup
-        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        res = score(dsl.builtin("gcn"), g, split, cfg)
         assert res.status == "discarded" and res.reason == "internal"
 
     def test_worker_exit_without_result_is_crash(self, scored_setup, monkeypatch):
         monkeypatch.setattr(training, "_score_impl", lambda *args: os._exit(3))
         g, split, cfg = scored_setup
-        res = training.score_individual(dsl.builtin("gcn"), g, split, cfg)
+        res = score(dsl.builtin("gcn"), g, split, cfg)
         assert res.status == "discarded" and res.reason == "crash"
         assert res.cpu_seconds is None and res.peak_rss_mb is None
 
@@ -222,19 +232,19 @@ class TestScoring:
         text = LABEL_PROGRAM.replace(old, new)
         assert text != LABEL_PROGRAM
         g, split, cfg = scored_setup
-        res = training.score_individual(text, g, split, cfg)
+        res = score(text, g, split, cfg)
         assert res.status == "discarded" and res.reason == reason
 
     def test_deep_nesting_is_parse(self, scored_setup):
         g, split, cfg = scored_setup
         text = nested_program("brackets", 1000)
-        res = training.score_individual(text, g, split, cfg)
+        res = score(text, g, split, cfg)
         assert res.status == "discarded" and res.reason == "parse"
 
     @pytest.mark.parametrize("kind", NESTING_KINDS)
     def test_nesting_at_cap_scores(self, scored_setup, kind):
         g, split, cfg = scored_setup
-        res = training.score_individual(nested_program(kind, MAX_DEPTH), g, split, cfg)
+        res = score(nested_program(kind, MAX_DEPTH), g, split, cfg)
         assert res.ok
 
     def test_timeout_discard(self):
@@ -242,7 +252,7 @@ class TestScoring:
         split = graphs.make_split(200, (0.2, 0.2, 0.6), labels=g.labels, seed=0)
         cfg = training.TrainConfig(max_epochs=200, hidden=16, seed=0,
                                    timeout_seconds=1)
-        res = training.score_individual(OVERSIZED_PROGRAM, g, split, cfg)
+        res = score(OVERSIZED_PROGRAM, g, split, cfg)
         assert res.reason == "timeout"
         assert res.wall_seconds < 6.0   # terminated within the grace window
         assert res.to_dict()["cpu_seconds"] is None and res.to_dict()["peak_rss_mb"] is None
@@ -263,8 +273,65 @@ class TestScoring:
         cfg = training.TrainConfig(max_epochs=10, patience=10, hidden=8, seed=0)
         text = dsl.builtin("gpr")
         a = training.evaluate_batch([text, text], g, split, cfg, pool_size=2)
-        b = training.score_individual(text, g, split, cfg)
+        b = score(text, g, split, cfg)
         assert a[0].fitness == a[1].fitness == b.fitness
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("text, reason", [
+        ("not a program", "parse"),
+        ("mechanism m { init { Z = X @ X; } out { Y = Z; } }", "shape"),
+        ("mechanism m { init { Z = Q; } out { Y = Z; } }", "shape"),
+        (LABEL_PROGRAM.replace("W[k]", "W[3]"), "compile"),
+        (LABEL_PROGRAM.replace("Y = Z;", "Y = Z * pow(10, 400);"), "numeric"),
+    ])
+    def test_discard_starts_no_process(self, sep_graph, sep_split, monkeypatch, text,
+                                       reason):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+        monkeypatch.setattr(mp.get_context("fork"), "Process", no_process)
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        results = training.evaluate_batch([text, text], sep_graph, sep_split, cfg,
+                                          pool_size=2)
+        for res in results:
+            assert res.status == "discarded" and res.reason == reason
+            assert 0 < res.wall_seconds < 1
+            assert res.cpu_seconds is None and res.peak_rss_mb is None
+
+    def test_only_lowered_programs_reach_the_worker(self, sep_graph, sep_split, monkeypatch):
+        monkeypatch.setattr(training, "_score_impl",
+                            lambda typed, *args: training.FitResult("ok", fitness=len(typed.ops)))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        texts = ["garbage", dsl.builtin("gcn"), "garbage", dsl.builtin("appnp")]
+        res = training.evaluate_batch(texts, sep_graph, sep_split, cfg, pool_size=2)
+        assert [r.reason for r in res] == ["parse", None, "parse", None]
+        assert [r.fitness for r in res[1::2]] == [
+            len(training.lower(t, sep_graph, cfg).ops) for t in texts[1::2]]
+
+    @pytest.mark.parametrize("exc, reason", [
+        (DslSyntaxError("x"), "parse"), (ShapeMismatch("x"), "shape"),
+        (UndeclaredIdentifier("x"), "shape"), (CompileError("x"), "compile"),
+        (NumericalError("x"), "numeric"), (SpecSearchError("x"), "internal"),
+        (RuntimeError("x"), "internal"),
+    ])
+    def test_reason_comes_from_the_exception_class(self, exc, reason):
+        assert training.discard_reason(exc) == reason
+
+
+class TestInterrupt:
+    def test_no_worker_outlives_an_interrupted_batch(self, sep_graph, sep_split,
+                                                     monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(training, "_score_impl", _sleep_past_timeout)
+        monkeypatch.setattr(training, "connection", SimpleNamespace(wait=interrupted))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8, timeout_seconds=1)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            training.evaluate_batch([dsl.builtin("gcn")] * 2, sep_graph, sep_split, cfg,
+                                    pool_size=2)
+        assert mp.active_children() == []
+        assert time.monotonic() - start < 10
 
 
 class TestEmptyValidation:
@@ -291,7 +358,7 @@ class TestKeepFreedHeap:
         monkeypatch.setattr(training, "_score_impl",
                             lambda *args: training.FitResult("ok", fitness=list(calls)))
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
-        res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        res = training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg, pool_size=1)
         assert res[0].fitness == [(training.M_MMAP_THRESHOLD, 32 * 2**20),
                                   (training.M_TRIM_THRESHOLD, 2**30)]
         assert calls == []             # only the worker's allocator is changed
@@ -299,7 +366,7 @@ class TestKeepFreedHeap:
     def test_scores_when_nothing_resolves(self, sep_graph, sep_split, monkeypatch):
         monkeypatch.setattr(training, "libc_mallopt", lambda: None)
         cfg = training.TrainConfig(max_epochs=5, patience=5, hidden=8)
-        res = training.score_individual(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
+        res = score(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
         assert res.ok and res.cpu_seconds > 0
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
@@ -339,7 +406,7 @@ class TestBlasPin:
         monkeypatch.setattr(training, "_score_impl",
                             lambda *args: training.FitResult("ok", fitness=blas.get_num_threads()))
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
-        res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        res = training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg, pool_size=1)
         assert res[0].fitness == 1
         assert blas.get_num_threads() == 2      # the parent's count is restored
 
@@ -350,7 +417,7 @@ class TestBlasPin:
         monkeypatch.setattr(training, "_score_impl",
                             lambda *args: training.FitResult("ok", fitness=_thread_count()))
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
-        res = training.evaluate_batch(["a", "b"], sep_graph, sep_split, cfg, pool_size=2)
+        res = training.evaluate_batch([dsl.builtin("gcn")] * 2, sep_graph, sep_split, cfg, pool_size=2)
         assert [r.fitness for r in res] == [1, 1]
 
     @pytest.mark.parametrize("score, reason", [(_sleep_past_timeout, "timeout"),
@@ -360,7 +427,7 @@ class TestBlasPin:
                                                        monkeypatch, score, reason):
         monkeypatch.setattr(training, "_score_impl", score)
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8, timeout_seconds=1)
-        res = training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+        res = training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg, pool_size=1)
         assert res[0].reason == reason
         assert blas.get_num_threads() == 2
 
@@ -375,13 +442,13 @@ class TestBlasPin:
         monkeypatch.setattr(training, "_score_impl", lambda *args: training.FitResult("ok"))
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
         with pytest.raises(RuntimeError, match="interrupted"):
-            training.evaluate_batch(["unused"], sep_graph, sep_split, cfg, pool_size=1)
+            training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg, pool_size=1)
         assert seen == [1] and blas.get_num_threads() == 2
 
     def test_scores_when_nothing_resolves(self, sep_graph, sep_split, monkeypatch):
         monkeypatch.setattr(training, "blas_threads", lambda: None)
         cfg = training.TrainConfig(max_epochs=5, patience=5, hidden=8)
-        res = training.score_individual(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
+        res = score(dsl.builtin("gcn"), sep_graph, sep_split, cfg)
         assert res.ok
 
     @pytest.mark.parametrize("missing", ["get_num_threads", "set_num_threads"])
