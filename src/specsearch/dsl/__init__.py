@@ -1,8 +1,6 @@
-"""Propagation-mechanism DSL: parser, canonical printer, corpus, and the two
-halves of executing a program. The front end (`check_shapes`) lowers a parsed
-program, with no arrays, into a `TypedProgram`: static shapes, folded
-constants and a flat op list. The back end (`compile_program`) materialises
-one for a graph, seed and dtype as a `CompiledMechanism`."""
+"""Propagation-mechanism DSL: parser, canonical printer, corpus, the front end
+(`check_shapes`: a parsed program lowered to an array-free `TypedProgram`) and
+the back end (`compile_program`: a `CompiledMechanism` for one graph and dtype)."""
 
 from .nodes import (Assign, Bin, Call, GraphDef, Index, Name, Num, ParamDecl,
                     Program, Unary)

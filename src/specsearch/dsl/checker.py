@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 
 from ..errors import CompileError, NumericalError, ShapeMismatch, UndeclaredIdentifier
@@ -34,12 +35,9 @@ _SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv, "pow": operator.pow}
 
 
-@dataclass(frozen=True)
-class Op:
-    fn: str                     # "+", "-", "*", "/", "@", "neg" or a call's name
-    args: tuple                 # input slots
-    out: int                    # output slot
-    shape: tuple                # (rows, cols) of the result
+# One tensor operation: `fn` ("+", "-", "*", "/", "@", "neg" or a call's name)
+# of the slots `args`, written to slot `out`, whose value is `shape` (rows, cols).
+Op = namedtuple("Op", "fn args out shape")
 
 
 @dataclass
@@ -47,8 +45,7 @@ class TypedProgram:
     """A lowered program. Slots 0 and 1 are X and X_raw, bound per forward call;
     every other slot holds a parameter, a graph operator, a constant or an
     op's result."""
-    params: tuple               # (slot, name, (rows, cols), init) in declaration order;
-                                # array entries are named "W[1]".."W[length]"
+    params: tuple               # (slot, name, (rows, cols), init); W[K] gives W[1]..W[K]
     operators: tuple            # (slot, name, LaplacianVariant)
     consts: tuple               # (slot, float) passed to ops as a Python float
     unit_tensors: tuple         # (slot, float) held as a 1x1 tensor
@@ -80,21 +77,29 @@ def _param_shape(decl, dims):
     """Concrete (rows, cols) of a parameter declaration."""
     if decl.kind == "scalar":
         return (1, 1)
-    sizes = [dims.get(d, d) for d in decl.dims]
     if decl.kind == "vector":
+        d = dims.get(decl.dims[0], decl.dims[0])
         # vector(n) is a per-node column; any other vector is a row (bias-like).
-        return (sizes[0], 1) if decl.dims[0] == "n" else (1, sizes[0])
-    return tuple(sizes)
+        if decl.dims[0] == "n":
+            return (d, 1)
+        return (1, d)
+    r = dims.get(decl.dims[0], decl.dims[0])
+    c = dims.get(decl.dims[1], decl.dims[1])
+    return (r, c)
 
 
 class _Lowering:
     def __init__(self, prog, dims):
-        self.prog, self.dims = prog, dims
+        self.prog = prog
+        self.dims = dims
         n, h = dims["n"], dims["h"]
         # Slot shapes: ("mat", rows, cols) for tensors, ("graph", n) for sparse
         # operators, None for constants.
         self.shapes = [("mat", n, h), ("mat", n, h)]
-        self.ops, self.consts, self.unit_tensors, self.warnings = [], [], [], []
+        self.ops = []
+        self.consts = []
+        self.unit_tensors = []
+        self.warnings = {}      # message -> None: once each, though steps unroll K times
         # Name -> slot, or a float for a compile-time scalar; array parameter
         # name -> its slots, index i at [i - 1].
         self.env = {"X": 0, "X_raw": 1}
@@ -139,17 +144,16 @@ class _Lowering:
         n, h, c = self.dims["n"], self.dims["h"], self.dims["c"]
         shape = self._shape(out)
         if shape is None or shape[0] != "mat" or shape[1:] not in ((n, h), (n, c)):
-            raise ShapeMismatch(f"output must be n x h or n x c, got {shape}")
+            raise ShapeMismatch(
+                f"output must be n x h or n x c, got {shape}")
         return TypedProgram(params=self.params, operators=self.operators,
                             consts=tuple(self.consts), unit_tensors=tuple(self.unit_tensors),
                             ops=tuple(self.ops), num_slots=len(self.shapes), out=out,
-                            out_shape=shape[1:], warnings=self.warnings)
+                            out_shape=shape[1:], warnings=list(self.warnings))
 
     def block(self, stmts):
         for st in stmts:
             self.env[st.target] = self.lower(st.expr)
-
-    # -- slots and shapes -----------------------------------------------------
 
     def _slot(self, shape=None):
         self.shapes.append(shape)
@@ -185,13 +189,6 @@ class _Lowering:
         table.append((slot, value))
         return slot
 
-    def _warn(self, message):
-        # The loop is unrolled, so a step block's warnings would repeat K times.
-        if message not in self.warnings:
-            self.warnings.append(message)
-
-    # -- expressions ----------------------------------------------------------
-
     def lower(self, e):
         """A float for a compile-time scalar, else the slot holding e's value."""
         if isinstance(e, Num):
@@ -200,11 +197,13 @@ class _Lowering:
             if e.ident in self.env:
                 return self.env[e.ident]
             if e.ident in self.arrays:
-                raise ShapeMismatch(f"array parameter {e.ident!r} must be indexed{_span(e)}")
+                raise ShapeMismatch(
+                    f"array parameter {e.ident!r} must be indexed{_span(e)}")
             raise UndeclaredIdentifier(f"undeclared identifier {e.ident!r}{_span(e)}")
         if isinstance(e, Index):
             if e.name not in self.arrays:
-                raise UndeclaredIdentifier(f"{e.name!r} is not an array parameter{_span(e)}")
+                raise UndeclaredIdentifier(
+                    f"{e.name!r} is not an array parameter{_span(e)}")
             i = self.lower(e.index)
             if not isinstance(i, float):
                 raise ShapeMismatch(f"array index must be a compile-time scalar{_span(e)}")
@@ -228,20 +227,24 @@ class _Lowering:
     def _bin(self, e, a, b):
         op = e.op
         if op == "/" and not (isinstance(e.right, Num) and e.right.value != 0):
-            self._warn(f"division whose denominator may reach zero{_span(e)}")
+            self.warnings.setdefault(
+                f"division whose denominator may reach zero{_span(e)}")
         if op == "@":
             if isinstance(a, float) or isinstance(b, float):
                 raise ShapeMismatch(f"@ requires tensor operands{_span(e)}")
-            (lr, lc), (rr, rc) = self._mat(a, e, "matmul left"), self._mat(b, e, "matmul right")
+            lr, lc = self._mat(a, e, "matmul left")
+            rr, rc = self._mat(b, e, "matmul right")
             if lc != rr:
-                raise ShapeMismatch(f"matmul inner dims differ: {lr}x{lc} @ {rr}x{rc}{_span(e)}")
+                raise ShapeMismatch(
+                    f"matmul inner dims differ: {lr}x{lc} @ {rr}x{rc}{_span(e)}")
             return self._op(op, (lr, rc), a, b)
         if isinstance(a, float) and isinstance(b, float):
             return _fold(op, a, b)
         lr, lc = self._mat(a, e, f"operand of {op}")
         rr, rc = self._mat(b, e, f"operand of {op}")
         if not ((lr == rr or lr == 1 or rr == 1) and (lc == rc or lc == 1 or rc == 1)):
-            raise ShapeMismatch(f"{op}: shapes {lr}x{lc} and {rr}x{rc} do not broadcast{_span(e)}")
+            raise ShapeMismatch(
+                f"{op}: shapes {lr}x{lc} and {rr}x{rc} do not broadcast{_span(e)}")
         return self._op(op, (max(lr, rr), max(lc, rc)), a, b)
 
     def _call(self, e, args):
@@ -265,17 +268,21 @@ class _Lowering:
             n = self._graph(args[0], e, fn)
             rows, cols = self._mat(args[1], e, fn)
             if rows != n:
-                raise ShapeMismatch(f"spmm: operator is {n}x{n}, dense has {rows} rows{_span(e)}")
+                raise ShapeMismatch(
+                    f"spmm: operator is {n}x{n}, dense has {rows} rows{_span(e)}")
             return self._op(fn, (rows, cols), *args)
         if fn == "attn_agg":
             n = self._graph(args[0], e, fn)
-            s1, s2, (rows, cols) = (self._mat(a, e, fn) for a in args[1:])
+            s1 = self._mat(args[1], e, fn)
+            s2 = self._mat(args[2], e, fn)
+            rows, cols = self._mat(args[3], e, fn)
             if s1 != (n, 1) or s2 != (n, 1):
                 raise ShapeMismatch(f"attn_agg: scores must be {n}x1{_span(e)}")
             if rows != n:
                 raise ShapeMismatch(f"attn_agg: features must have {n} rows{_span(e)}")
             return self._op(fn, (rows, cols), *args)
-        (ra, ca), (rb, cb) = self._mat(args[0], e, fn), self._mat(args[1], e, fn)
+        ra, ca = self._mat(args[0], e, fn)
+        rb, cb = self._mat(args[1], e, fn)
         if ra != rb:
             raise ShapeMismatch(f"concat: row counts differ{_span(e)}")
         return self._op(fn, (ra, ca + cb), *args)

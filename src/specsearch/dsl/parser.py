@@ -379,6 +379,11 @@ class _Parser:
                 self.fail("K must be a positive integer")
             if int(k) > K_MAX:
                 self.fail(f"K exceeds the cap of {K_MAX}")
+        for p in prog.params:
+            # Lowering makes one parameter per array entry before any timeout
+            # applies, so an integer bound is capped as K is.
+            if isinstance(p.array, int) and not 1 <= p.array <= K_MAX:
+                self.fail(f"array bound of {p.name!r} must be in 1..{K_MAX}")
 
 
 def _tree_depth(e):

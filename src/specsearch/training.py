@@ -199,9 +199,7 @@ def train(assembly, graph, split, cfg):
 @dataclass
 class FitResult:
     status: str                 # "ok" or "discarded"
-    # `discard_reason` of the exception that ended it (parse | shape | compile |
-    # numeric | internal; the first three forked no worker), or timeout | crash
-    reason: str = None
+    reason: str = None          # `discard_reason` of the error that ended it, timeout or crash
     fitness: float = None       # validation accuracy, only when ok
     test_accuracy: float = None
     epochs_run: int = 0
@@ -344,15 +342,14 @@ def check_split(split):
 def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
     """Score many programs; results come back in submission order.
 
-    The front end (`lower`) runs here, once per text: a text it rejects is
-    discarded with the reason its exception's class names, and no process
-    starts for it. Each lowered program is trained in its own forked process,
-    `pool_size` at a time; jobs that exceed cfg.timeout_seconds are killed and
-    reported as discarded(timeout), and a process that exits without sending a
-    result is reported as discarded(crash). A split that `check_split` rejects
-    raises before any of this. While workers run, the parent's BLAS holds one
-    thread, so every worker forks with one (the pool already runs a worker per
-    core); the parent's count is restored when the batch ends, however it ends.
+    The front end (`lower`) runs here: a text it rejects is discarded with its
+    `discard_reason` and starts no process. Each lowered program trains in its
+    own forked process, `pool_size` at a time; one past cfg.timeout_seconds is
+    killed as discarded(timeout), one that exits without a result is
+    discarded(crash). A split that `check_split` rejects raises first. While
+    workers run, the parent's BLAS holds one thread, so each worker forks with
+    one (the pool runs a worker per core); the parent's count is restored when
+    the batch ends, however it ends.
     """
     check_split(split)
     results = [None] * len(texts)
@@ -424,8 +421,7 @@ def _run_batch(jobs, results, graph, split, cfg, pool_size):
                                            wall_seconds=elapsed)
                     del pending[i]
     finally:
-        # Reached with workers still pending only when the loop raised (say, a
-        # KeyboardInterrupt in `connection.wait`): none may outlive the batch.
+        # Workers are pending here only if the loop raised: none outlives the batch.
         for proc, conn, _ in pending.values():
             _stop(proc)
             conn.close()

@@ -60,6 +60,14 @@ class TestParser:
             dsl.parse("mechanism m { consts { K = 17; } init { Z = X; }"
                       " step { Z = Z; } out { Y = Z; } }")
 
+    def test_array_bound_capped(self):
+        text = ("mechanism m { params { W: scalar[%d] = normal; } init { Z = X * W[1]; }"
+                " out { Y = Z; } }")
+        assert dsl.parse(text % 16).params[0].array == 16
+        for bound in (0, 17, 10**9):
+            with pytest.raises(DslSyntaxError, match="16"):
+                dsl.parse(text % bound)
+
     def test_step_requires_k(self):
         with pytest.raises(DslSyntaxError):
             dsl.parse("mechanism m { init { Z = X; } step { Z = Z; }"
