@@ -146,15 +146,13 @@ def render_prompt(req):
 
 
 class ReplayBackend:
-    """Scripted responses keyed by (generation, op, slot); missing keys are fatal."""
+    """Scripted responses read from a JSONL file, keyed by (generation, op,
+    slot); missing keys are fatal."""
 
-    def __init__(self, source):
+    def __init__(self, path):
         self.records = {}
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "r", encoding="utf-8") as fh:
-                lines = [json.loads(line) for line in fh if line.strip()]
-        else:
-            lines = list(source)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
         for rec in lines:
             key = (int(rec["gen"]), rec["op"], int(rec["slot"]))
             if key in self.records:

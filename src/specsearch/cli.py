@@ -15,6 +15,10 @@ from .dsl.corpus import builtin_names
 from .errors import SpecSearchError, UnknownBuiltin
 
 
+# train, val and test fractions when neither --split nor a search config names a split
+DEFAULT_RATIOS = (0.025, 0.025, 0.95)
+
+
 class UsageError(Exception):
     pass
 
@@ -75,9 +79,18 @@ def _make_split(graph, ratios, seed, stratified=True, from_file=False):
         split = graph.splits if from_file else graphs.make_split(
             graph.num_nodes, ratios, labels=graph.labels, seed=seed, stratified=stratified)
         training.check_split(split)
-    except ValueError as exc:   # the fractions, or a split with no validation nodes
+    except ValueError as exc:   # the fractions, or a split no candidate can be scored on
         raise UsageError(f"split: {exc}") from None
     return split
+
+
+def _split_from_flag(graph, flag, seed):
+    """The split of eval, xeval and bench: `--split from-file` takes the
+    dataset's stored split, fractions make a stratified one (DEFAULT_RATIOS
+    without the flag)."""
+    if flag == "from-file":
+        return _make_split(graph, None, seed, from_file=True)
+    return _make_split(graph, _parse_split(flag) if flag else DEFAULT_RATIOS, seed)
 
 
 def _prepare_out_dir(out_dir, force):
@@ -126,7 +139,7 @@ def cmd_search(args):
     graph = graphs.load_dataset(dataset)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
-    split_spec = cfg.get("split", {"ratios": [0.025, 0.025, 0.95], "stratified": True})
+    split_spec = cfg.get("split", {"ratios": list(DEFAULT_RATIOS), "stratified": True})
     if args.split:
         split_spec = {"ratios": list(_parse_split(args.split)),
                       "stratified": split_spec.get("stratified", True)}
@@ -187,11 +200,7 @@ def cmd_eval(args):
     graph = graphs.load_dataset(args.dataset)
     _, text = _resolve_mechanism(args.mechanism)
     train_cfg = _train_cfg_from(args)
-    if args.split == "from-file":
-        split = _make_split(graph, None, train_cfg.seed, from_file=True)
-    else:
-        ratios = _parse_split(args.split) if args.split else (0.025, 0.025, 0.95)
-        split = _make_split(graph, ratios, train_cfg.seed)
+    split = _split_from_flag(graph, args.split, train_cfg.seed)
     (res,) = training.evaluate_batch([text], graph, split, train_cfg, pool_size=1)
     if not res.ok:
         print(json.dumps({"status": res.reason}))
@@ -204,12 +213,11 @@ def _matrix_rows(mech_specs, dataset_paths, args):
     """One row per mechanism, one test-accuracy column per dataset, each column
     scored as one batch."""
     train_cfg = _train_cfg_from(args)
-    ratios = _parse_split(args.split) if args.split else (0.025, 0.025, 0.95)
     datasets = [(Path(p).stem, graphs.load_dataset(p)) for p in dataset_paths]
     mechs = [_resolve_mechanism(spec) for spec in mech_specs]
     rows = [[name] for name, _ in mechs]
     for _, graph in datasets:
-        split = _make_split(graph, ratios, train_cfg.seed)
+        split = _split_from_flag(graph, args.split, train_cfg.seed)
         results = training.evaluate_batch([text for _, text in mechs], graph, split,
                                           train_cfg)
         for row, res in zip(rows, results):
@@ -240,8 +248,7 @@ def cmd_xeval(args):
 def cmd_bench(args):
     train_cfg = _train_cfg_from(args)
     graph = graphs.load_dataset(args.dataset)
-    ratios = _parse_split(args.split) if args.split else (0.025, 0.025, 0.95)
-    split = _make_split(graph, ratios, train_cfg.seed)
+    split = _split_from_flag(graph, args.split, train_cfg.seed)
     texts = [dsl.builtin(n) for n in builtin_names()]
     results = training.evaluate_batch(texts, graph, split, train_cfg,
                                       pool_size=args.pool_size)
@@ -284,7 +291,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--split", default=None, help="train,val,test fractions or percents")
+        p.add_argument("--split", default=None, help="train,val,test fractions or "
+                       "percents, or from-file (the dataset's split; not for search)")
         p.add_argument("--timeout-secs", type=float, default=None, dest="timeout_secs")
         p.add_argument("--out-dir", default=None, dest="out_dir")
         p.add_argument("--force", action="store_true")

@@ -7,7 +7,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -93,16 +93,6 @@ class Graph:
         self.name = name
         self.splits = splits
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (self.num_nodes == other.num_nodes
-                and self.num_classes == other.num_classes
-                and np.array_equal(self.edges, other.edges)
-                and np.array_equal(self.features, other.features)
-                and np.array_equal(self.labels, other.labels)
-                and self.name == other.name)
-
     def __repr__(self):
         return (f"Graph({self.name!r}, n={self.num_nodes}, f={self.num_features}, "
                 f"c={self.num_classes}, |E|={len(self.edges)})")
@@ -114,9 +104,9 @@ class SparseOp:
     zeros, finite weights.
 
     The constructor takes any scipy sparse matrix (duplicates are summed, zeros
-    dropped) and casts its weights once to `dtype`; `from_coords` takes
-    coordinates given from outside. `coords` are the (row, col) int64 arrays of
-    the stored entries in CSR order, built on first use.
+    dropped), casts its weights once to `dtype` and rejects a non-finite one.
+    `coords` are the (row, col) int64 arrays of the stored entries in CSR order,
+    built on first use.
     """
 
     def __init__(self, matrix, dtype=np.float64):
@@ -128,23 +118,6 @@ class SparseOp:
             raise ValueError("non-finite weight in sparse operator")
         self.csr = csr
         self.rows, self.cols = csr.shape
-
-    @classmethod
-    def from_coords(cls, rows, cols, row, col, val):
-        """Rejects an out-of-range index, a duplicate coordinate or a non-finite weight."""
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        val = np.asarray(val, dtype=np.float64)
-        if not (row.shape == col.shape == val.shape):
-            raise ValueError("row/col/val length mismatch")
-        if row.size and (row.min() < 0 or row.max() >= rows
-                         or col.min() < 0 or col.max() >= cols):
-            raise ValueError("sparse index out of bounds")
-        m = sp.coo_matrix((val, (row, col)), shape=(rows, cols))
-        m.sum_duplicates()
-        if m.nnz < row.size:
-            raise ValueError("duplicate coordinate in sparse operator")
-        return cls(m)
 
     @functools.cached_property
     def coords(self):
@@ -229,6 +202,9 @@ def prune_mean_std(graph, self_loop_weight, dtype=np.float64):
 
 @dataclass(frozen=True)
 class Split:
+    """Disjoint train, val and test node indices, held as tuples. Whether a
+    split can be scored is decided by `training.check_split`."""
+
     train: tuple
     val: tuple
     test: tuple
@@ -240,20 +216,6 @@ class Split:
         tr, va, te = set(self.train), set(self.val), set(self.test)
         if tr & va or tr & te or va & te:
             raise ValueError("split index sets overlap")
-        if not tr or not va:
-            raise ValueError("train and val must be non-empty")
-
-    @classmethod
-    def unchecked(cls, train, val, test):
-        """Bypass the non-emptiness check (make_split may legitimately emit empty val/test)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "train", tuple(train))
-        object.__setattr__(obj, "val", tuple(val))
-        object.__setattr__(obj, "test", tuple(test))
-        tr, va, te = set(train), set(val), set(test)
-        if tr & va or tr & te or va & te:
-            raise ValueError("split index sets overlap")
-        return obj
 
 
 def make_split(n, ratios, labels=None, seed=0, stratified=False):
@@ -286,8 +248,6 @@ def make_split(n, ratios, labels=None, seed=0, stratified=False):
             val.extend(idx[n_tr:n_tr + n_va])
             if f_te > 0:
                 test.extend(idx[n_tr + n_va:])
-            else:
-                test.extend(idx[n_tr + n_va:n_tr + n_va + int(math.floor(f_te * idx.size))])
     else:
         idx = rng.permutation(n)
         n_tr = int(math.floor(f_tr * n))
@@ -296,11 +256,9 @@ def make_split(n, ratios, labels=None, seed=0, stratified=False):
         val = idx[n_tr:n_tr + n_va]
         if f_te > 0:
             test = idx[n_tr + n_va:]
-        else:
-            test = idx[n_tr + n_va:n_tr + n_va]
-    return Split.unchecked(sorted(int(i) for i in train),
-                           sorted(int(i) for i in val),
-                           sorted(int(i) for i in test))
+    return Split(sorted(int(i) for i in train),
+                 sorted(int(i) for i in val),
+                 sorted(int(i) for i in test))
 
 
 def gen_synthetic(n, classes, homophily, avg_degree, feature_dim, signal, seed):
@@ -468,7 +426,7 @@ def load_dataset(path):
                 if type(idx) is not int or not 0 <= idx < n:
                     raise DatasetFormatError(f"splits.{part}[{i}]: index out of range")
         try:
-            splits = Split.unchecked(sdoc["train"], sdoc["val"], sdoc["test"])
+            splits = Split(sdoc["train"], sdoc["val"], sdoc["test"])
         except ValueError as exc:
             raise DatasetFormatError(f"splits: {exc}") from exc
 

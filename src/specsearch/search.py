@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bridge, dsl, training
 from .dsl.corpus import SEED_NAMES, builtin, builtin_ideas
-from .errors import DslSyntaxError, MalformedResponse, SpecSearchError
+from .errors import MalformedResponse, SpecSearchError
 
 
 @dataclass
@@ -33,12 +33,8 @@ class Individual:
 
 
 def dedup_key(program_text):
-    """Whitespace-collapsed canonical form; falls back to collapsed raw text."""
-    try:
-        canonical = dsl.print_program(dsl.parse(program_text))
-    except SpecSearchError:
-        canonical = program_text
-    return re.sub(r"\s+", " ", canonical).strip()
+    """The whitespace-collapsed canonical form of a program text that parses."""
+    return re.sub(r"\s+", " ", dsl.print_program(dsl.parse(program_text))).strip()
 
 
 class EliteArchive:
@@ -95,10 +91,6 @@ class SearchConfig:
         if self.pool_size < 1:
             raise ValueError(f"pool_size must be at least 1, got {self.pool_size}")
 
-    @property
-    def candidates_per_generation(self):
-        return len(self.prompt_ops) * self.parallel_responses
-
     def to_dict(self):
         return {"generations": self.generations, "P1": self.P1, "P2": self.P2,
                 "parallel_responses": self.parallel_responses,
@@ -137,7 +129,7 @@ def select_for_prompt(archive, op_kind, P, rng):
 
 
 # Outcomes that depend on the machine rather than the program: never memoized.
-_MACHINE_BOUND = ("timeout", "crash")
+_MACHINE_BOUND = ("timeout", "crash", "memory")
 
 
 def _score_texts(ids, texts, graph, split, train_cfg, pool_size, memo):

@@ -230,7 +230,8 @@ def _round(value, digits):
 _DISCARD_REASONS = ((DslSyntaxError, "parse"),
                     ((ShapeMismatch, UndeclaredIdentifier), "shape"),
                     (CompileError, "compile"),
-                    (NumericalError, "numeric"))
+                    (NumericalError, "numeric"),
+                    (MemoryError, "memory"))
 
 
 def discard_reason(exc):
@@ -332,8 +333,10 @@ def _score_worker(conn, typed, graph, split, cfg, mallopt):
 
 
 def check_split(split):
-    """Raise ValueError for a split no candidate can be scored on: fitness is
-    validation accuracy, so one without validation nodes."""
+    """Raise ValueError for a split no candidate can be scored on: one without
+    training nodes, or without validation nodes (fitness is validation accuracy)."""
+    if not split.train:
+        raise ValueError("no training nodes")
     if not split.val:
         raise ValueError("no validation nodes (a candidate's fitness is its "
                          "validation accuracy)")

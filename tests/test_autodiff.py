@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specsearch import autodiff as ad
 from specsearch import graphs
@@ -11,8 +12,7 @@ from conftest import check_gradients
 
 
 def sparse_from_dense(m):
-    rows, cols = np.nonzero(m)
-    return graphs.SparseOp.from_coords(m.shape[0], m.shape[1], rows, cols, m[rows, cols])
+    return graphs.SparseOp(sp.coo_matrix(m))
 
 
 class TestForward:

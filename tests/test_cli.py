@@ -22,10 +22,27 @@ def dataset(tmp_path):
 def no_val_dataset(tmp_path):
     """A dataset whose stored split has no validation nodes."""
     g = graphs.gen_synthetic(40, 2, 0.85, 6.0, 8, 1.0, seed=11)
-    g.splits = graphs.Split.unchecked(range(20), (), range(20, 40))
+    g.splits = graphs.Split(range(20), (), range(20, 40))
     path = tmp_path / "noval.json"
     graphs.save_dataset(g, path)
     return path
+
+
+@pytest.fixture
+def no_train_dataset(tmp_path):
+    """A dataset whose stored split has no training nodes."""
+    g = graphs.gen_synthetic(40, 2, 0.85, 6.0, 8, 1.0, seed=11)
+    g.splits = graphs.Split((), range(20), range(20, 40))
+    path = tmp_path / "notrain.json"
+    graphs.save_dataset(g, path)
+    return path
+
+
+def split_argv(command, dataset):
+    """A scoring command on one dataset and gcn, before any --split."""
+    return {"eval": ["eval", "--dataset", dataset, "--mechanism", "gcn"],
+            "xeval": ["xeval", "--datasets", dataset, "--mechanisms", "gcn"],
+            "bench": ["bench", "--dataset", dataset]}[command]
 
 
 def blas_pin():
@@ -68,6 +85,31 @@ class TestUsage:
         assert run(["eval", "--dataset", no_val_dataset, "--mechanism", "gcn",
                     "--split", split]) == 1
         assert capsys.readouterr().err.startswith("usage error: split: no validation nodes")
+
+    @pytest.mark.parametrize("command", ["eval", "xeval", "bench"])
+    def test_split_without_training_is_usage_error(self, no_train_dataset, capsys,
+                                                   monkeypatch, command):
+        def no_fork(*args):
+            raise AssertionError("forked")
+        monkeypatch.setattr(training.mp, "get_context", no_fork)
+        assert run([*split_argv(command, no_train_dataset), "--split", "from-file"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: split: no training nodes")
+
+    @pytest.mark.parametrize("command", ["eval", "xeval", "bench"])
+    def test_split_from_file_is_the_stored_split(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        g = graphs.gen_synthetic(40, 2, 0.85, 6.0, 8, 1.0, seed=11)
+        g.splits = graphs.Split(range(10), range(10, 20), range(20, 40))
+        path = tmp_path / "stored.json"
+        graphs.save_dataset(g, path)
+        splits = []
+
+        def spy(texts, graph, split, *args, **kwargs):
+            splits.append(split)
+            return [training.FitResult("discarded", reason="crash")] * len(texts)
+        monkeypatch.setattr(training, "evaluate_batch", spy)
+        run([*split_argv(command, path), "--split", "from-file"])
+        assert splits == [g.splits]
 
     def test_missing_dataset_file(self, capsys):
         assert run(["eval", "--dataset", "/nonexistent.json",

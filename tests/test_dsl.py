@@ -1,14 +1,17 @@
 """DSL parser, printer, front end (lowering), back end, and builtin corpus."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsearch import autodiff as ad
-from specsearch import dsl, graphs
+from specsearch import dsl, graphs, training
 from specsearch.dsl.corpus import SEARCHED_NAMES, SEED_NAMES
-from specsearch.dsl.parser import MAX_DEPTH, MAX_TEXT_CHARS
+from specsearch.dsl.parser import KEYWORDS, MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.dsl import nodes
 from specsearch.errors import (CompileError, DslSyntaxError, ShapeMismatch,
                                UndeclaredIdentifier, UnknownBuiltin)
@@ -136,6 +139,67 @@ class TestFuzzRoundTrip:
             prog = dsl.parse(text)
             printed = dsl.print_program(prog)
             assert dsl.print_program(dsl.parse(printed)) == printed
+
+
+def _tokens(text):
+    return re.findall(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\w+|\S", re.sub(r"#[^\n]*", "", text))
+
+
+def _token_class(tok):
+    return tok[0].isdigit(), tok[0].isalpha() or tok[0] == "_", tok in KEYWORDS
+
+
+# Every token of the corpus, and tokens that reach the shape, compile and numeric
+# checks. A replacement keeps the token's class (number, keyword, other word or
+# symbol), and replacements are drawn most often, so more edited texts parse.
+EDIT_TOKENS = sorted({t for name in dsl.builtin_names() for t in _tokens(dsl.builtin(name))}
+                     | {"0", "17", "1e400", "k", "K", "Q", "W", "@", "/", "pow", "concat"})
+TOKEN_CLASSES = {}
+for _tok in EDIT_TOKENS:
+    TOKEN_CLASSES.setdefault(_token_class(_tok), []).append(_tok)
+EDITS = st.lists(st.tuples(st.sampled_from(["delete", "insert", "swap"] + ["replace"] * 3),
+                           st.integers(0, 10**6), st.integers(0, 10**6)),
+                 min_size=1, max_size=2)
+
+
+def edited_builtin(name, edits):
+    toks = _tokens(dsl.builtin(name))
+    for kind, at, pick in edits:
+        i = at % len(toks)
+        if kind == "delete":
+            del toks[i]
+        elif kind == "insert":
+            toks.insert(i, EDIT_TOKENS[pick % len(EDIT_TOKENS)])
+        elif kind == "replace":
+            same = TOKEN_CLASSES[_token_class(toks[i])]
+            toks[i] = same[pick % len(same)]
+        elif i + 1 < len(toks):
+            toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    return " ".join(toks)
+
+
+class TestTokenEdits:
+    """Property tests: random token edits of the builtin texts."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(dsl.builtin_names()), edits=EDITS)
+    def test_front_end_rejects_with_a_program_label(self, name, edits):
+        g = path_graph(5, feature_dim=4)
+        try:
+            typed = training.lower(edited_builtin(name, edits), g, training.TrainConfig(hidden=8))
+        except Exception as exc:
+            assert training.discard_reason(exc) in ("parse", "shape", "compile", "numeric")
+        else:
+            assert isinstance(typed, dsl.TypedProgram)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(dsl.builtin_names()), edits=EDITS)
+    def test_printed_program_parses_to_itself(self, name, edits):
+        try:
+            prog = dsl.parse(edited_builtin(name, edits))
+        except DslSyntaxError:
+            return
+        assert dsl.parse(dsl.print_program(prog)) == prog
 
 
 class TestShapeChecker:

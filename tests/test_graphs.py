@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specsearch import graphs
+from specsearch import graphs, training
 from specsearch.errors import DatasetFormatError, StratificationInfeasible
 from specsearch.graphs import LaplacianVariant, Variant
 
 from conftest import path_graph
+
+
+def assert_same_graph(a, b):
+    for name in ("num_nodes", "num_classes", "name", "splits"):
+        assert getattr(a, name) == getattr(b, name)
+    for name in ("edges", "features", "labels"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def random_graph(n, p, seed, num_classes=2, feature_dim=4):
@@ -151,7 +158,8 @@ class TestOperatorFormulas:
 class TestSparseOp:
     def test_canonical_csr(self):
         # rows and columns out of order, and one zero weight
-        op = graphs.SparseOp.from_coords(3, 3, [2, 0, 0, 1], [0, 2, 1, 1], [4.0, 2.0, 1.0, 0.0])
+        op = graphs.SparseOp(sp.coo_matrix(([4.0, 2.0, 1.0, 0.0], ([2, 0, 0, 1], [0, 2, 1, 1])),
+                                           shape=(3, 3)))
         assert op.csr.format == "csr"
         assert op.csr.indptr.tolist() == [0, 2, 2, 3]
         assert op.csr.indices.tolist() == [1, 2, 0]
@@ -167,16 +175,10 @@ class TestSparseOp:
         assert csr.has_canonical_format
         assert np.all(csr.data != 0)
 
-    @pytest.mark.parametrize("row, col, val, message", [
-        ([0, 1, 0], [1, 0, 1], [1.0, 1.0, 2.0], "duplicate coordinate"),
-        ([0, 2], [1, 0], [1.0, 1.0], "out of bounds"),
-        ([0, 1], [1, -1], [1.0, 1.0], "out of bounds"),
-        ([0, 1], [1, 0], [1.0, np.nan], "non-finite"),
-        ([0, 1], [1, 0], [np.inf, 1.0], "non-finite"),
-    ])
-    def test_rejects_bad_coordinates(self, row, col, val, message):
-        with pytest.raises(ValueError, match=message):
-            graphs.SparseOp.from_coords(2, 2, row, col, val)
+    @pytest.mark.parametrize("val", [[1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_nonfinite_weight(self, val):
+        with pytest.raises(ValueError, match="non-finite"):
+            graphs.SparseOp(sp.coo_matrix((val, ([0, 1], [1, 0])), shape=(2, 2)))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_rejects_weight_beyond_dtype(self):
@@ -225,8 +227,9 @@ class TestSplit:
     def test_all_train_permitted_by_op(self):
         split = graphs.make_split(10, (1.0, 0.0, 0.0), seed=0)
         assert len(split.train) == 10 and not split.val and not split.test
-        with pytest.raises(ValueError):
-            graphs.Split(split.train, split.val, split.test)
+        assert graphs.Split(split.train, split.val, split.test) == split
+        with pytest.raises(ValueError, match="no validation nodes"):
+            training.check_split(split)
 
     def test_determinism(self):
         a = graphs.make_split(500, (0.1, 0.1, 0.8), seed=3)
@@ -280,8 +283,7 @@ class TestGenSynthetic:
     def test_deterministic(self):
         a = graphs.gen_synthetic(100, 3, 0.7, 5.0, 6, 1.0, seed=9)
         b = graphs.gen_synthetic(100, 3, 0.7, 5.0, 6, 1.0, seed=9)
-        assert a == b
-        assert np.array_equal(a.features, b.features)
+        assert_same_graph(a, b)
 
 
 class TestEigOperator:
@@ -299,7 +301,7 @@ class TestEigOperator:
         assert np.allclose(graphs.eig_operator(op).eigenvalues, [0, 1.5, 1.5], atol=1e-10)
 
     def test_rejects_asymmetric(self):
-        op = graphs.SparseOp.from_coords(2, 2, [0], [1], [1.0])
+        op = graphs.SparseOp(sp.coo_matrix(([1.0], ([0], [1])), shape=(2, 2)))
         with pytest.raises(graphs.SpecSearchError, match="symmetric"):
             graphs.eig_operator(op)
 
@@ -312,8 +314,7 @@ class TestDatasetIO:
     def test_round_trip(self, tmp_path, small_graph):
         path = tmp_path / "g.json"
         graphs.save_dataset(small_graph, path)
-        loaded = graphs.load_dataset(path)
-        assert loaded == small_graph
+        assert_same_graph(graphs.load_dataset(path), small_graph)
 
     def test_round_trip_with_splits(self, tmp_path):
         g = path_graph(6, seed=1)

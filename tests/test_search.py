@@ -236,7 +236,7 @@ class TestFitnessMemo:
         assert {r["best_epoch"] for r in gen_log["candidates"]} == {first["best_epoch"]}
 
     @pytest.mark.parametrize("reason, resent", [("timeout", True), ("crash", True),
-                                                ("numeric", False)])
+                                                ("numeric", False), ("memory", True)])
     def test_machine_bound_outcomes_resent(self, search_env, tmp_path, monkeypatch,
                                            reason, resent):
         g, split, tcfg = search_env
@@ -328,7 +328,7 @@ class TestRunSearch:
         assert scfg.generations == 30
         assert scfg.P1 == scfg.P2 == scfg.parallel_responses == 4
         assert scfg.archive_capacity == 30
-        assert scfg.candidates_per_generation == 12
+        assert len(scfg.prompt_ops) * scfg.parallel_responses == 12
 
     def test_default_pool_size_is_usable_cores(self):
         assert SearchConfig().pool_size == len(os.sched_getaffinity(0))

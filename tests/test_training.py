@@ -205,6 +205,14 @@ class TestScoring:
         res = score(dsl.builtin("gcn"), g, split, cfg)
         assert res.status == "discarded" and res.reason == "internal"
 
+    def test_allocation_failure_is_memory(self, scored_setup, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(training, "_score_impl", out_of_memory)
+        g, split, cfg = scored_setup
+        res = score(dsl.builtin("gcn"), g, split, cfg)
+        assert res.status == "discarded" and res.reason == "memory"
+
     def test_worker_exit_without_result_is_crash(self, scored_setup, monkeypatch):
         monkeypatch.setattr(training, "_score_impl", lambda *args: os._exit(3))
         g, split, cfg = scored_setup
@@ -313,7 +321,7 @@ class TestFrontEnd:
         (DslSyntaxError("x"), "parse"), (ShapeMismatch("x"), "shape"),
         (UndeclaredIdentifier("x"), "shape"), (CompileError("x"), "compile"),
         (NumericalError("x"), "numeric"), (SpecSearchError("x"), "internal"),
-        (RuntimeError("x"), "internal"),
+        (RuntimeError("x"), "internal"), (MemoryError(), "memory"),
     ])
     def test_reason_comes_from_the_exception_class(self, exc, reason):
         assert training.discard_reason(exc) == reason
@@ -336,19 +344,23 @@ class TestInterrupt:
 
 
 class TestEmptyValidation:
+    """A split with no validation or no training nodes is rejected before any fork."""
+
     @pytest.mark.parametrize("ratios, stratified", [((0.5, 0.0, 0.5), False),
                                                     ((0.5, 0.0, 0.5), True),
-                                                    ((0.5, 0.04, 0.46), True)])
+                                                    ((0.5, 0.04, 0.46), True),
+                                                    ((0.0, 0.5, 0.5), False)])
     def test_batch_rejected_before_any_fork(self, monkeypatch, ratios, stratified):
         g = graphs.gen_synthetic(60, 3, 0.8, 6.0, 8, 1.0, seed=7)     # 20 nodes per class
         split = graphs.make_split(60, ratios, labels=g.labels, seed=0, stratified=stratified)
-        assert split.val == ()
+        assert not (split.train and split.val)
+        message = "no validation nodes" if split.train else "no training nodes"
 
         def no_fork(*args):
             raise AssertionError("forked")
         monkeypatch.setattr(training.mp, "get_context", no_fork)
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
-        with pytest.raises(ValueError, match="no validation nodes"):
+        with pytest.raises(ValueError, match=message):
             training.evaluate_batch([dsl.builtin("gcn")], g, split, cfg)
 
 
