@@ -1,6 +1,9 @@
 """Minimal reverse-mode autodiff over dense matrices and fixed sparse operators.
 
 Everything is a 2-D array: scalars are 1x1, column vectors n x 1, row vectors 1 x d.
+Ops take Tensors only (a constant is a 1x1 Tensor; `power`'s exponent is a
+number) and do not re-check shape rules that the DSL front end
+(`dsl.check_shapes`) has proved: where the two disagree, numpy or scipy raises.
 Sparse operators (graphs.SparseOp) appear only as the left factor of spmm and the
 structure argument of edge_attn_agg; no gradient flows into their weights.
 """
@@ -15,13 +18,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
-        data = np.asarray(data)
-        if data.ndim == 0:
-            data = data.reshape(1, 1)
-        elif data.ndim == 1:
-            data = data.reshape(1, -1)
-        if data.ndim != 2:
-            raise ShapeMismatch(f"tensors are 2-D, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise NumericalError("non-finite value in forward computation")
         self.data = data
@@ -36,13 +32,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _coerce(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float64
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _accum(t, g):
@@ -67,17 +56,7 @@ def _reduce_broadcast(g, shape):
     return out
 
 
-def _broadcast_check(a, b, opname):
-    ra, ca = a.shape
-    rb, cb = b.shape
-    if (ra == rb or ra == 1 or rb == 1) and (ca == cb or ca == 1 or cb == 1):
-        return
-    raise ShapeMismatch(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
 def add(a, b):
-    a, b = _coerce(a, b if isinstance(b, Tensor) else None), _coerce(b, a if isinstance(a, Tensor) else None)
-    _broadcast_check(a, b, "add")
     out = Tensor(a.data + b.data, parents=(a, b))
 
     def bw(g):
@@ -88,8 +67,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _coerce(a, b if isinstance(b, Tensor) else None), _coerce(b, a if isinstance(a, Tensor) else None)
-    _broadcast_check(a, b, "sub")
     out = Tensor(a.data - b.data, parents=(a, b))
 
     def bw(g):
@@ -100,8 +77,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _coerce(a, b if isinstance(b, Tensor) else None), _coerce(b, a if isinstance(a, Tensor) else None)
-    _broadcast_check(a, b, "mul")
     out = Tensor(a.data * b.data, parents=(a, b))
 
     def bw(g):
@@ -112,8 +87,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _coerce(a, b if isinstance(b, Tensor) else None), _coerce(b, a if isinstance(a, Tensor) else None)
-    _broadcast_check(a, b, "div")
     if np.any(b.data == 0.0):
         raise NumericalError("division by zero")
     out = Tensor(a.data / b.data, parents=(a, b))
@@ -126,16 +99,12 @@ def div(a, b):
 
 
 def neg(a):
-    a = _coerce(a)
     out = Tensor(-a.data, parents=(a,))
     out.backward_fn = lambda g: _accum(a, -g)
     return out
 
 
 def matmul(a, b):
-    a, b = _coerce(a), _coerce(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data, parents=(a, b))
 
     def bw(g):
@@ -147,16 +116,12 @@ def matmul(a, b):
 
 def spmm(op, x):
     """Fixed sparse operator times dense tensor; gradient flows only into x."""
-    x = _coerce(x)
-    if op.cols != x.shape[0]:
-        raise ShapeMismatch(f"spmm: operator is {op.rows}x{op.cols}, dense is {x.shape}")
     out = Tensor(op.csr @ x.data, parents=(x,))
     out.backward_fn = lambda g: _accum(x, op.csr.T @ g)
     return out
 
 
 def _unary(a, fval, fgrad):
-    a = _coerce(a)
     y = fval(a.data)
     out = Tensor(y, parents=(a,))
     out.backward_fn = lambda g: _accum(a, g * fgrad(a.data, y))
@@ -189,7 +154,6 @@ def sigmoid(a):
 
 
 def softmax_rows(a):
-    a = _coerce(a)
     z = a.data - a.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     y = ez / ez.sum(axis=1, keepdims=True)
@@ -203,7 +167,6 @@ def softmax_rows(a):
 
 
 def sum_all(a):
-    a = _coerce(a)
     out = Tensor(np.array([[a.data.sum()]], dtype=a.data.dtype), parents=(a,))
     out.backward_fn = lambda g: _accum(a, np.full_like(a.data, float(g[0, 0])))
     return out
@@ -211,7 +174,6 @@ def sum_all(a):
 
 def sum_rows(a):
     """Row-wise sum: n x d -> n x 1."""
-    a = _coerce(a)
     out = Tensor(a.data.sum(axis=1, keepdims=True), parents=(a,))
     out.backward_fn = lambda g: _accum(a, np.broadcast_to(g, a.shape).copy())
     return out
@@ -219,7 +181,6 @@ def sum_rows(a):
 
 def power(a, exponent):
     """Raise a (typically scalar) tensor to a non-negative compile-time exponent."""
-    a = _coerce(a)
     m = float(exponent)
     if a.data.min() < 0 and m != int(m):
         raise NumericalError("fractional power of a negative value")
@@ -237,9 +198,6 @@ def power(a, exponent):
 
 
 def concat_cols(a, b):
-    a, b = _coerce(a), _coerce(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"concat: row counts differ, {a.shape} vs {b.shape}")
     out = Tensor(np.concatenate([a.data, b.data], axis=1), parents=(a, b))
 
     def bw(g):
@@ -251,7 +209,6 @@ def concat_cols(a, b):
 
 def dropout(a, rate, rng):
     """Inverted dropout with mask drawn from `rng`; identity when rate == 0."""
-    a = _coerce(a)
     if rate <= 0.0:
         return a
     if rate >= 1.0:
@@ -264,7 +221,6 @@ def dropout(a, rate, rng):
 
 def cross_entropy_with_logits(logits, labels, index_set):
     """Mean cross-entropy of integer labels over the rows in index_set (max-stabilized)."""
-    logits = _coerce(logits)
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("index set must be non-empty")
@@ -296,13 +252,15 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
 
     Neighborhoods come from the nonzero pattern of `adj`; isolated nodes get zero rows.
     """
-    scores_src, scores_dst, x = _coerce(scores_src), _coerce(scores_dst), _coerce(x)
     n = adj.rows
+    # Indexing by the edge list would silently accept oversized scores or
+    # features, so these shapes are checked here as well as in the front end;
+    # like numpy's own shape errors, a failure is an engine fault (ValueError).
     if scores_src.shape != (n, 1) or scores_dst.shape != (n, 1):
-        raise ShapeMismatch(
+        raise ValueError(
             f"edge_attn_agg: scores must be {n}x1, got {scores_src.shape} and {scores_dst.shape}")
     if x.shape[0] != n:
-        raise ShapeMismatch(f"edge_attn_agg: features must have {n} rows, got {x.shape}")
+        raise ValueError(f"edge_attn_agg: features must have {n} rows, got {x.shape}")
     r, c = adj.coords
     e_raw = scores_src.data[r, 0] + scores_dst.data[c, 0]
     e, dlrelu = _leaky_relu(e_raw)

@@ -12,7 +12,7 @@ from pathlib import Path
 from . import __version__, dsl, graphs, search, training
 from .bridge import LiveBackend, ReplayBackend
 from .dsl.corpus import builtin_names
-from .errors import SpecSearchError, UnknownBuiltin
+from .errors import SpecSearchError, StratificationInfeasible, UnknownBuiltin
 
 
 # train, val and test fractions when neither --split nor a search config names a split
@@ -73,13 +73,15 @@ def _resolve_mechanism(spec):
 
 
 def _make_split(graph, ratios, seed, stratified=True, from_file=False):
+    """The run's split. Bad fractions, a class too small to stratify and a split
+    no candidate can be scored on are usage errors."""
     if from_file and graph.splits is None:
         raise SpecSearchError("dataset file carries no splits")
     try:
         split = graph.splits if from_file else graphs.make_split(
             graph.num_nodes, ratios, labels=graph.labels, seed=seed, stratified=stratified)
         training.check_split(split)
-    except ValueError as exc:   # the fractions, or a split no candidate can be scored on
+    except (ValueError, StratificationInfeasible) as exc:
         raise UsageError(f"split: {exc}") from None
     return split
 
@@ -140,7 +142,9 @@ def cmd_search(args):
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
 
     split_spec = cfg.get("split", {"ratios": list(DEFAULT_RATIOS), "stratified": True})
-    if args.split:
+    if args.split == "from-file":
+        split_spec = {"from_file": True}
+    elif args.split:
         split_spec = {"ratios": list(_parse_split(args.split)),
                       "stratified": split_spec.get("stratified", True)}
     split = _make_split(graph, tuple(split_spec.get("ratios", ())),
@@ -241,7 +245,7 @@ def _emit_csv(rows, args, command, **manifest_extra):
 
 def cmd_xeval(args):
     rows = _matrix_rows(args.mechanisms.split(","), args.datasets.split(","), args)
-    _emit_csv(rows, args, "xeval")
+    _emit_csv(rows, args, "xeval", scoring=_scoring_record(training.USABLE_CORES))
     return 0
 
 
@@ -292,7 +296,7 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--split", default=None, help="train,val,test fractions or "
-                       "percents, or from-file (the dataset's split; not for search)")
+                       "percents, or from-file (the dataset's split)")
         p.add_argument("--timeout-secs", type=float, default=None, dest="timeout_secs")
         p.add_argument("--out-dir", default=None, dest="out_dir")
         p.add_argument("--force", action="store_true")

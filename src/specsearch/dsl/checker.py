@@ -17,19 +17,7 @@ from dataclasses import dataclass
 from ..errors import CompileError, NumericalError, ShapeMismatch, UndeclaredIdentifier
 from ..graphs import LaplacianVariant, Variant
 from .nodes import Bin, Call, Index, Name, Num, Unary
-
-_CTOR_TO_VARIANT = {
-    "sym_norm": Variant.ADJ_SYM_NORM,
-    "rw_norm": Variant.ADJ_RW_NORM,
-    "laplacian": Variant.COMBINATORIAL,
-    "sym_laplacian": Variant.SYM_LAPLACIAN,
-    "scaled_laplacian": Variant.SCALED_LAPLACIAN,
-    "pruned_norm": Variant.PRUNED_NORM,
-}
-
-# Arguments each call takes; the one-argument calls act on one tensor.
-_ARITY = {"relu": 1, "elu": 1, "tanh": 1, "sigmoid": 1, "softmax_rows": 1,
-          "sum_rows": 1, "spmm": 2, "pow": 2, "concat": 2, "attn_agg": 4}
+from .parser import CALLS
 
 _SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "/": operator.truediv, "pow": operator.pow}
@@ -47,8 +35,8 @@ class TypedProgram:
     op's result."""
     params: tuple               # (slot, name, (rows, cols), init); W[K] gives W[1]..W[K]
     operators: tuple            # (slot, name, LaplacianVariant)
-    consts: tuple               # (slot, float) passed to ops as a Python float
-    unit_tensors: tuple         # (slot, float) held as a 1x1 tensor
+    consts: tuple               # (slot, float): a `pow` exponent, passed as a Python float
+    unit_tensors: tuple         # (slot, float): any other constant, held as a 1x1 tensor
     ops: tuple                  # Op..., in evaluation order
     num_slots: int
     out: int                    # the slot of Y
@@ -120,7 +108,7 @@ class _Lowering:
         for g in prog.graph_defs:
             self.env[g.name] = slot = self._slot(("graph", n))
             operators.append((slot, g.name,
-                              LaplacianVariant(_CTOR_TO_VARIANT[g.ctor], g.self_loop)))
+                              LaplacianVariant(Variant(g.ctor), g.self_loop)))
         self.operators = tuple(operators)
         self.env.update((name, float(v)) for name, v in prog.consts)
         self.env["K"] = float(prog.loop_count)
@@ -178,8 +166,9 @@ class _Lowering:
         return self.shapes[v][1]
 
     def _op(self, fn, shape, *args):
-        """Append fn(*args) to the op list; float args become constant slots."""
-        args = tuple(self._const(a, self.consts) if isinstance(a, float) else a for a in args)
+        """Append fn(*args) to the op list; a float arg becomes a 1x1 tensor slot."""
+        args = tuple(self._const(a, self.unit_tensors) if isinstance(a, float) else a
+                     for a in args)
         out = self._slot(("mat",) + shape)
         self.ops.append(Op(fn, args, out, shape))
         return out
@@ -218,9 +207,9 @@ class _Lowering:
         if isinstance(e, Bin):
             return self._bin(e, self.lower(e.left), self.lower(e.right))
         if isinstance(e, Call):
-            if len(e.args) != _ARITY[e.fn]:
+            if len(e.args) != CALLS[e.fn]:
                 raise ShapeMismatch(
-                    f"{e.fn} takes {_ARITY[e.fn]} arguments, got {len(e.args)}{_span(e)}")
+                    f"{e.fn} takes {CALLS[e.fn]} arguments, got {len(e.args)}{_span(e)}")
             return self._call(e, [self.lower(a) for a in e.args])
         raise TypeError(f"not an expression node: {e!r}")
 
@@ -249,10 +238,8 @@ class _Lowering:
 
     def _call(self, e, args):
         fn = e.fn
-        if _ARITY[fn] == 1:
+        if CALLS[fn] == 1:
             rows, cols = self._mat(args[0], e, fn)
-            if isinstance(args[0], float):
-                args[0] = self._const(args[0], self.unit_tensors)
             return self._op(fn, (rows, 1) if fn == "sum_rows" else (rows, cols), args[0])
         if fn == "pow":
             base, expo = args
@@ -263,7 +250,7 @@ class _Lowering:
             rows, cols = self._mat(base, e, "pow")
             if (rows, cols) != (1, 1):
                 raise ShapeMismatch(f"pow base must be scalar, got {rows}x{cols}{_span(e)}")
-            return self._op(fn, (1, 1), base, expo)
+            return self._op(fn, (1, 1), base, self._const(expo, self.consts))
         if fn == "spmm":
             n = self._graph(args[0], e, fn)
             rows, cols = self._mat(args[1], e, fn)

@@ -27,9 +27,10 @@ class CompiledMechanism:
     """Callable (X_in n x h, X_raw n x h) -> Tensor, owning its parameters.
 
     `slots` holds every value a forward pass can read: X and X_raw (slots 0 and
-    1, filled per call), parameters, graph operators, constants (floats and
-    1x1 tensors) and op results. Each entry of `ops` is (autodiff function,
-    input slots, output slot), in evaluation order.
+    1, filled per call), parameters, graph operators, constants (1x1 tensors in
+    the run's dtype, built once here, and `pow` exponents as floats) and op
+    results. Each entry of `ops` is (autodiff function, input slots, output
+    slot), in evaluation order.
     """
 
     def __init__(self, typed, graph, seed=0, dtype=np.float64):

@@ -9,7 +9,7 @@ _IDEAS = {}
 
 
 def _register(name, ideas, text):
-    _CORPUS[name] = text.strip() + "\n"
+    _CORPUS[name] = text.strip()
     _IDEAS[name] = ideas
 
 

@@ -70,8 +70,7 @@ class ParamDecl:
 @dataclass(frozen=True)
 class GraphDef:
     name: str
-    ctor: str                 # sym_norm | rw_norm | laplacian | sym_laplacian
-                              # | scaled_laplacian | pruned_norm
+    ctor: str                 # a graphs.Variant value, e.g. sym_norm
     self_loop: float          # the c constant; 0 when the ctor takes none
 
 

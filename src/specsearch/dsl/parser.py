@@ -5,17 +5,20 @@ from __future__ import annotations
 import re
 
 from ..errors import DslSyntaxError
+from ..graphs import Variant
 from .nodes import (Assign, Bin, Call, GraphDef, Index, Name, Num, ParamDecl,
                     Program, Unary)
 
 KEYWORDS = {"mechanism", "consts", "params", "graph", "init", "step", "final",
-            "out", "in", "scalar", "vector", "matrix", "glorot", "normal", "const"}
+            "out", "scalar", "vector", "matrix", "glorot", "normal", "const"}
 
-CALLS = {"spmm", "relu", "elu", "tanh", "sigmoid", "softmax_rows", "pow",
-         "sum_rows", "attn_agg", "concat"}
+# The DSL's calls and the number of arguments each takes; the one-argument
+# calls act on one tensor.
+CALLS = {"relu": 1, "elu": 1, "tanh": 1, "sigmoid": 1, "softmax_rows": 1,
+         "sum_rows": 1, "spmm": 2, "pow": 2, "concat": 2, "attn_agg": 4}
 
-GRAPH_CTORS = {"sym_norm", "rw_norm", "laplacian", "sym_laplacian",
-               "scaled_laplacian", "pruned_norm"}
+# A graph constructor's name is the value of its graphs.Variant.
+GRAPH_CTORS = {v.value for v in Variant}
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
@@ -339,7 +342,7 @@ class _Parser:
                         args.append(self.nested_expr())
                 self.expect(")")
                 return Call(fn=t.text, args=tuple(args), pos=(t.line, t.col))
-            if t.text in KEYWORDS and t.text != "in":
+            if t.text in KEYWORDS:
                 self.fail(f"keyword {t.text!r} cannot appear in an expression", t)
             return Name(ident=t.text, pos=(t.line, t.col))
         if t.text == "(":

@@ -17,14 +17,14 @@ from .errors import DatasetFormatError, SpecSearchError, StratificationInfeasibl
 
 
 class Variant(Enum):
-    """Which graph operator to materialize."""
+    """Which graph operator to materialize; each value is its DSL constructor."""
 
-    ADJ_SYM_NORM = "adjacency-sym-norm"
-    ADJ_RW_NORM = "adjacency-rw-norm"
-    COMBINATORIAL = "combinatorial"
-    SYM_LAPLACIAN = "sym-laplacian"
-    SCALED_LAPLACIAN = "scaled-laplacian"
-    PRUNED_NORM = "pruned-norm"
+    ADJ_SYM_NORM = "sym_norm"
+    ADJ_RW_NORM = "rw_norm"
+    COMBINATORIAL = "laplacian"
+    SYM_LAPLACIAN = "sym_laplacian"
+    SCALED_LAPLACIAN = "scaled_laplacian"
+    PRUNED_NORM = "pruned_norm"
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from specsearch import autodiff as ad
-from specsearch import graphs
+from specsearch import graphs, training
 from specsearch.errors import NumericalError, ShapeMismatch
 
 from conftest import check_gradients
@@ -36,10 +36,23 @@ class TestForward:
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
         assert np.all((out.data > 0) & (out.data < 1))
 
-    def test_matmul_shape_error(self):
-        a = ad.Tensor(np.zeros((2, 3)))
-        with pytest.raises(ShapeMismatch, match="matmul"):
-            ad.matmul(a, ad.Tensor(np.zeros((2, 3))))
+    @pytest.mark.parametrize("op", [ad.add, ad.matmul, ad.concat_cols])
+    def test_shape_disagreement_is_an_engine_fault(self, op):
+        # Shape rules are the front end's; an op given shapes it would have
+        # rejected fails in numpy, and the candidate is labelled internal.
+        a, b = ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5)))
+        with pytest.raises(ValueError) as exc:
+            op(a, b)
+        assert training.discard_reason(exc.value) == "internal"
+
+    @pytest.mark.parametrize("rows", [(4, 3, 3), (3, 4, 3), (3, 3, 4)])
+    def test_attn_agg_checks_its_shapes(self, rows):
+        # Indexing by the edge list would accept any of these oversized inputs.
+        op = sparse_from_dense(np.ones((3, 3)))
+        src, dst, x = (ad.Tensor(np.zeros((r, 1))) for r in rows)
+        with pytest.raises(ValueError, match="edge_attn_agg") as exc:
+            ad.edge_attn_agg(op, src, dst, x)
+        assert training.discard_reason(exc.value) == "internal"
 
     def test_nonfinite_forward_raises(self):
         a = ad.Tensor(np.array([[1e308]]))

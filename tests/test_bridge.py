@@ -1,6 +1,7 @@
 """Prompt rendering, completion backends, and response parsing."""
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -10,6 +11,7 @@ import pytest
 from specsearch import bridge, dsl, graphs
 from specsearch.bridge import (CLOSING_SENTENCE, LiveBackend, LlmResponse,
                                PromptRequest, ReplayBackend)
+from specsearch.dsl.parser import CALLS, GRAPH_CTORS
 from specsearch.errors import MalformedResponse, SpecSearchError
 
 from conftest import full_replay_records, make_replay_file, wrap_response
@@ -66,6 +68,10 @@ class TestRenderPrompt:
             PromptRequest(op_kind="E1", basic_content="x",
                           embedded_individuals=(("i", "p", 0.5),),
                           request_info="missing the sentence")
+
+    @pytest.mark.parametrize("name", sorted(CALLS) + sorted(GRAPH_CTORS))
+    def test_grammar_summary_names_the_vocabulary(self, name):
+        assert re.search(rf"\b{name}\(", bridge.GRAMMAR_SUMMARY)
 
     def test_invalid_op_kind(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,6 +74,7 @@ class TestUsage:
     @pytest.mark.parametrize("split, message", [
         ("a,b,c", "--split needs three comma-separated numbers"),
         ("0.5,-0.2,0.3", "fractions must be non-negative"),
+        ("0,0.5,0.5", "train fraction 0.0 yields 0 samples"),   # stratified
     ])
     def test_bad_split_values(self, dataset, capsys, split, message):
         assert run(["eval", "--dataset", dataset, "--mechanism", "gcn",
@@ -184,8 +186,9 @@ class TestXeval:
         g2 = graphs.gen_synthetic(70, 3, 0.2, 6.0, 8, 1.0, seed=12)
         d2 = tmp_path / "hetero.json"
         graphs.save_dataset(g2, d2)
-        code = run(["xeval", "--datasets", f"{dataset},{d2}",
-                    "--mechanisms", "gcn,fagcn-lite", "--split", "30,20,50"])
+        out = tmp_path / "xeval"
+        code = run(["xeval", "--datasets", f"{dataset},{d2}", "--mechanisms",
+                    "gcn,fagcn-lite", "--split", "30,20,50", "--out-dir", out])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "mechanism,data,hetero"
@@ -195,6 +198,11 @@ class TestXeval:
             assert len(cells) == 3
             for cell in cells[1:]:
                 assert 0.0 <= float(cell) <= 1.0
+        assert (out / "xeval.csv").read_text().splitlines() == lines
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["scoring"] == {"pool_size": training.USABLE_CORES,
+                                       "blas_pin": blas_pin(),
+                                       "keep_freed_heap": keep_freed_heap()}
 
 
     def test_one_batch_per_dataset(self, dataset, tmp_path, capsys, monkeypatch):
@@ -321,6 +329,26 @@ class TestSearch:
         assert run(["search", "--config", path, "--out-dir", tmp_path / "run", *flags]) == 1
         assert capsys.readouterr().err.startswith("usage error: split: no validation nodes")
         assert not (tmp_path / "run").exists()
+
+    def test_split_from_file_is_the_stored_split(self, tmp_path, capsys, monkeypatch):
+        g = graphs.gen_synthetic(40, 2, 0.85, 6.0, 8, 1.0, seed=11)
+        g.splits = graphs.Split(range(10), range(10, 20), range(20, 40))
+        path = tmp_path / "stored.json"
+        graphs.save_dataset(g, path)
+        splits = []
+
+        def spy(graph, split, *args, **kwargs):
+            splits.append(split)
+            best = SimpleNamespace(fitness=0.5, id=0)
+            return SimpleNamespace(best=best, archive=[best])
+        monkeypatch.setattr(cli.search, "run_search", spy)
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        cfg = self.write_config(tmp_path, path, replay)
+        out = tmp_path / "run"
+        assert run(["search", "--config", cfg, "--out-dir", out, "--split", "from-file"]) == 0
+        assert splits == [g.splits]
+        assert json.loads((out / "run_manifest.json").read_text())["split"] == {
+            "from_file": True}
 
     def test_bad_train_config_is_usage_error(self, dataset, tmp_path, capsys):
         replay = make_replay_file(tmp_path, full_replay_records(1))

@@ -217,6 +217,22 @@ class TestShapeChecker:
         with pytest.raises(ShapeMismatch):
             dsl.check_shapes(dsl.parse(text), DIMS)
 
+    @pytest.mark.parametrize("expr, match", [
+        ("X + concat(X, X)", "do not broadcast"),
+        ("X @ X", "inner dims differ"),
+        ("spmm(A, W)", "spmm: operator is"),
+        ("concat(X, W)", "concat: row counts differ"),
+        ("attn_agg(A, X, sum_rows(X), X)", "scores must be"),
+        ("pow(W, 2)", "pow base must be scalar"),
+    ], ids=["broadcast", "matmul", "spmm", "concat", "attn_agg", "pow"])
+    def test_each_shape_rule_is_a_shape_mismatch(self, expr, match):
+        # The ops trust the front end to have checked each of these rules.
+        text = ("mechanism m { params { W: matrix(h, h) = glorot; }"
+                " graph { A = sym_norm(c=1); }"
+                f" init {{ Z = {expr}; }} out {{ Y = X; }} }}")
+        with pytest.raises(ShapeMismatch, match=match):
+            dsl.check_shapes(dsl.parse(text), DIMS)
+
     def test_undeclared_identifier(self):
         text = "mechanism m { init { Z = Q; } out { Y = Z; } }"
         with pytest.raises(UndeclaredIdentifier, match="Q"):
@@ -278,7 +294,8 @@ class TestLowering:
                 " init { Z = X; } step { Z = spmm(A, Z) * (alpha * k); } out { Y = Z; } }")
         typed = dsl.check_shapes(dsl.parse(text), DIMS)
         assert [op.fn for op in typed.ops] == ["spmm", "*"] * 3
-        assert [value for _, value in typed.consts] == [0.5, 1.0, 1.5]
+        assert [value for _, value in typed.unit_tensors] == [0.5, 1.0, 1.5]
+        assert typed.consts == ()
         assert [variant for _, _, variant in typed.operators] == [
             graphs.LaplacianVariant(graphs.Variant.ADJ_SYM_NORM, 1.0)]
 

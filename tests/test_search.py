@@ -251,6 +251,19 @@ class TestFitnessMemo:
         gcn = dsl.builtin("gcn").strip()
         assert sent == [[gcn], [gcn] if resent else []]
 
+    def test_proposal_repeating_a_seed_reuses_its_training(self, search_env, tmp_path,
+                                                          monkeypatch):
+        # Seeds are stored the way proposals are parsed, so a seed repeated
+        # verbatim by the LLM is the same exact text and hits the run's memo.
+        g, split, tcfg = search_env
+        scfg = SearchConfig(generations=2, pool_size=4, seed=0)
+        path = make_replay_file(tmp_path, full_replay_records(
+            2, override=self.GCN_EVERYWHERE))
+        sent = spy_on_batches(monkeypatch)
+        search.run_search(g, split, scfg, tcfg, bridge.ReplayBackend(path))
+        assert [t for batch in sent for t in batch].count(dsl.builtin("gcn")) == 1
+        assert sent[1:] == [[], []]
+
     def test_run_never_sends_a_text_twice(self, search_env, tmp_path, monkeypatch):
         g, split, tcfg = search_env
         scfg = SearchConfig(generations=2, pool_size=4, seed=0)
