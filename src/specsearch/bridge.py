@@ -149,6 +149,8 @@ class ReplayBackend:
     """Scripted responses read from a JSONL file, keyed by (generation, op,
     slot); missing keys are fatal."""
 
+    max_concurrent = 1
+
     def __init__(self, path):
         self.records = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -207,23 +209,15 @@ class LiveBackend:
 
 
 def complete(requests, parallelism, backend, generation=0):
-    """`parallelism` completions per request, returned in (request, slot) order."""
-    jobs = [(ri, slot, req) for ri, req in enumerate(requests)
-            for slot in range(parallelism)]
-    out = {}
-    if isinstance(backend, ReplayBackend):
-        for ri, slot, req in jobs:
-            out[(ri, slot)] = backend.complete_one(req, generation, slot)
-    else:
-        max_workers = max(1, getattr(backend, "max_concurrent", parallelism))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {(ri, slot): pool.submit(backend.complete_one, req, generation, slot)
-                       for ri, slot, req in jobs}
-        for key, fut in futures.items():
-            out[key] = fut.result()
-    return [LlmResponse(text=out[(ri, slot)], op_kind=req.op_kind,
+    """`parallelism` completions per request, returned in (request, slot) order;
+    `backend.max_concurrent` calls run at a time."""
+    jobs = [(slot, req) for req in requests for slot in range(parallelism)]
+    with ThreadPoolExecutor(max_workers=max(1, backend.max_concurrent)) as pool:
+        futures = [pool.submit(backend.complete_one, req, generation, slot)
+                   for slot, req in jobs]
+    return [LlmResponse(text=fut.result(), op_kind=req.op_kind,
                         slot=slot, generation=generation)
-            for ri, slot, req in jobs]
+            for (slot, req), fut in zip(jobs, futures)]
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
@@ -231,7 +225,7 @@ _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
 def parse_response(resp):
     """Split a response into (ideas, program_text); raises MalformedResponse."""
-    if resp.failed or resp.text is None:
+    if resp.failed:
         raise MalformedResponse("bridge_failure")
     blocks = _FENCE_RE.findall(resp.text)
     if len(blocks) == 0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -189,7 +190,7 @@ def cmd_search(args):
     _write_manifest(out, {
         "command": "search", "version": __version__, "dataset": str(dataset),
         "split": split_spec, "seed": seed, "backend": backend_desc,
-        "train": train_cfg.to_dict(), "search": search_cfg.to_dict(),
+        "train": dataclasses.asdict(train_cfg), "search": dataclasses.asdict(search_cfg),
         "scoring": _scoring_record(search_cfg.pool_size),
     })
     report = search.run_search(graph, split, search_cfg, train_cfg, backend,
@@ -207,7 +208,7 @@ def cmd_eval(args):
     split = _split_from_flag(graph, args.split, train_cfg.seed)
     (res,) = training.evaluate_batch([text], graph, split, train_cfg, pool_size=1)
     if not res.ok:
-        print(json.dumps({"status": res.reason}))
+        print(json.dumps({"status": res.status}))
         return 2
     print(json.dumps({"fitness": res.fitness, "test_accuracy": res.test_accuracy}))
     return 0
@@ -225,7 +226,7 @@ def _matrix_rows(mech_specs, dataset_paths, args):
         results = training.evaluate_batch([text for _, text in mechs], graph, split,
                                           train_cfg)
         for row, res in zip(rows, results):
-            row.append(_cell(res.test_accuracy) if res.ok else res.reason)
+            row.append(_cell(res.test_accuracy) if res.ok else res.status)
     return [["mechanism"] + [n for n, _ in datasets]] + rows
 
 
@@ -258,7 +259,7 @@ def cmd_bench(args):
                                       pool_size=args.pool_size)
     rows = [["mechanism", "status", "fitness", "test_accuracy"]]
     for name, res in zip(builtin_names(), results):
-        rows.append([name, "ok" if res.ok else res.reason,
+        rows.append([name, res.status,
                      _cell(res.fitness), _cell(res.test_accuracy)])
     _emit_csv(rows, args, "bench", scoring=_scoring_record(args.pool_size))
     return 0
@@ -298,6 +299,8 @@ def build_parser():
         p.add_argument("--split", default=None, help="train,val,test fractions or "
                        "percents, or from-file (the dataset's split)")
         p.add_argument("--timeout-secs", type=float, default=None, dest="timeout_secs")
+
+    def writes_out_dir(p):
         p.add_argument("--out-dir", default=None, dest="out_dir")
         p.add_argument("--force", action="store_true")
 
@@ -307,6 +310,7 @@ def build_parser():
     p.add_argument("--replay-file", default=None, dest="replay_file")
     p.add_argument("--generations", type=int, default=None)
     common(p)
+    writes_out_dir(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="train and score one mechanism")
@@ -319,6 +323,7 @@ def build_parser():
     p.add_argument("--datasets", required=True)
     p.add_argument("--mechanisms", required=True)
     common(p)
+    writes_out_dir(p)
     p.set_defaults(func=cmd_xeval)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset JSON")
@@ -341,6 +346,7 @@ def build_parser():
     p.add_argument("--pool-size", type=_positive_int, default=training.USABLE_CORES,
                    dest="pool_size")
     common(p)
+    writes_out_dir(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

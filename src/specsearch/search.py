@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,8 +32,9 @@ class Individual:
 
 
 def dedup_key(program_text):
-    """The whitespace-collapsed canonical form of a program text that parses."""
-    return re.sub(r"\s+", " ", dsl.print_program(dsl.parse(program_text))).strip()
+    """A program's identity in the archive: its parsed form. AST nodes compare
+    without source positions, so layout and comments do not count."""
+    return dsl.parse(program_text)
 
 
 class EliteArchive:
@@ -91,14 +91,6 @@ class SearchConfig:
         if self.pool_size < 1:
             raise ValueError(f"pool_size must be at least 1, got {self.pool_size}")
 
-    def to_dict(self):
-        return {"generations": self.generations, "P1": self.P1, "P2": self.P2,
-                "parallel_responses": self.parallel_responses,
-                "prompt_ops": list(self.prompt_ops),
-                "archive_capacity": self.archive_capacity,
-                "pool_size": self.pool_size, "seed": self.seed,
-                "seed_programs": list(self.seed_programs)}
-
 
 def select_for_prompt(archive, op_kind, P, rng):
     """Prompt-operator selection over the rank-sorted archive.
@@ -132,59 +124,59 @@ def select_for_prompt(archive, op_kind, P, rng):
 _MACHINE_BOUND = ("timeout", "crash", "memory")
 
 
-def _score_texts(ids, texts, graph, split, train_cfg, pool_size, memo):
-    """Score candidate texts, training each text not in `memo` once.
+def _score(candidates, archive, graph, split, train_cfg, pool_size, memo):
+    """Score unscored candidates, training each program text not in `memo` once,
+    and add the ok ones to `archive` in candidate order.
 
     `memo` maps a program's exact text to (candidate id, FitResult) of its
     first training in this search run; the graph, split and train config are
     fixed for a run and training is deterministic per seed, so a hit equals a
-    retrain. Returns one (record fields, FitResult) per text; a repeat carries
-    its source's status and fitness, `memo_of` the source id and its own
-    wall_seconds, cpu_seconds and peak_rss_mb of 0. A memo of None is a fresh
-    one for this call alone.
+    retrain. Returns one record per candidate; a repeat carries its source's
+    status and fitness, `memo_of` the source id and its own wall_seconds,
+    cpu_seconds and peak_rss_mb of 0. A memo of None is a fresh one for this
+    call alone.
     """
     memo = {} if memo is None else memo
     batch = {}                              # text -> id of its first candidate
-    for cid, text in zip(ids, texts):
-        if text not in memo:
-            batch.setdefault(text, cid)
+    for ind in candidates:
+        if ind.program_text not in memo:
+            batch.setdefault(ind.program_text, ind.id)
     results = training.evaluate_batch(list(batch), graph, split, train_cfg,
                                       pool_size=pool_size)
     fresh = {text: (cid, res) for (text, cid), res in zip(batch.items(), results)}
     memo.update((text, hit) for text, hit in fresh.items()
-                if hit[1].reason not in _MACHINE_BOUND)
-    scored = []
-    for cid, text in zip(ids, texts):
-        source, res = fresh.get(text) or memo[text]
-        if source == cid:
-            scored.append((res.to_dict(), res))
+                if hit[1].status not in _MACHINE_BOUND)
+    records = []
+    for ind in candidates:
+        source, res = fresh.get(ind.program_text) or memo[ind.program_text]
+        if source == ind.id:
+            fields = res.to_dict()
         else:
             spent = replace(res, wall_seconds=0.0, cpu_seconds=0.0, peak_rss_mb=0.0)
-            scored.append(({**spent.to_dict(), "memo_of": source}, res))
-    return scored
+            fields = {**spent.to_dict(), "memo_of": source}
+        records.append({"id": ind.id, "op": ind.origin, **fields})
+        if res.ok:
+            ind.fitness = res.fitness
+            ind.test_accuracy = res.test_accuracy
+            archive.add(ind)
+    return records
 
 
 def init_population(seed_names, graph, split, train_cfg,
                     pool_size=training.USABLE_CORES, capacity=30, log=None, memo=None):
     """Evaluate the classic seed programs and build the initial archive.
 
-    `memo` is the run's fitness memo (see `_score_texts`); None uses a fresh one.
+    `memo` is the run's fitness memo (see `_score`); None uses a fresh one.
     """
     names = list(dict.fromkeys(seed_names))
-    texts = [builtin(name) for name in names]
-    scored = _score_texts(range(len(names)), texts, graph, split, train_cfg,
-                          pool_size, memo)
+    seeds = [Individual(id=i, ideas=builtin_ideas(name), program_text=builtin(name),
+                        origin="seed", generation_born=0)
+             for i, name in enumerate(names)]
     archive = EliteArchive(capacity=capacity)
-    records = []
-    for i, (name, text, (fields, res)) in enumerate(zip(names, texts, scored)):
-        records.append({"id": i, "op": "seed", **fields})
-        if res.ok:
-            archive.add(Individual(id=i, ideas=builtin_ideas(name),
-                                   program_text=text, origin="seed",
-                                   generation_born=0, fitness=res.fitness,
-                                   test_accuracy=res.test_accuracy))
-        elif log is not None:
-            log(f"seed {name!r} discarded ({res.reason})")
+    records = _score(seeds, archive, graph, split, train_cfg, pool_size, memo)
+    for name, rec in zip(names, records):
+        if rec["status"] != "ok" and log is not None:
+            log(f"seed {name!r} discarded ({rec['status']})")
     if len(archive) == 0:
         raise SpecSearchError("all seed programs failed evaluation; cannot start search")
     return archive, records
@@ -194,7 +186,7 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
                    gen_index, rng, next_id, log=None, memo=None):
     """One search cycle: prompt, complete, parse, evaluate, merge.
 
-    `memo` is the run's fitness memo (see `_score_texts`); None uses a fresh one.
+    `memo` is the run's fitness memo (see `_score`); None uses a fresh one.
     Returns (generation_log_dict, next_id).
     """
     basic = bridge.default_basic_content(graph)
@@ -215,8 +207,8 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
                                              request_info=request_info))
     responses = bridge.complete(requests, search_cfg.parallel_responses, backend,
                                 generation=gen_index)
-    candidates = []        # (record, Individual or None)
-    to_evaluate = []       # indices into candidates
+    malformed = []         # records of responses with no program to score
+    proposals = []
     bridge_failed = skipped_slots
     for resp in responses:
         if resp.failed:
@@ -227,27 +219,16 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
         try:
             ideas, program_text = bridge.parse_response(resp)
         except MalformedResponse:
-            rejected = training.FitResult("discarded", reason="parse")
-            candidates.append(({"id": cid, "op": resp.op_kind, **rejected.to_dict()}, None))
+            malformed.append({"id": cid, "op": resp.op_kind,
+                              **training.FitResult("parse").to_dict()})
             continue
-        ind = Individual(id=cid, ideas=ideas, program_text=program_text,
-                         origin=resp.op_kind, generation_born=gen_index)
-        rec = {"id": cid, "op": resp.op_kind}    # scoring fills in the rest
-        candidates.append((rec, ind))
-        to_evaluate.append(len(candidates) - 1)
-    scored = _score_texts([candidates[i][1].id for i in to_evaluate],
-                          [candidates[i][1].program_text for i in to_evaluate],
-                          graph, split, train_cfg, search_cfg.pool_size, memo)
-    for i, (fields, res) in zip(to_evaluate, scored):
-        rec, ind = candidates[i]
-        rec.update(fields)
-        if res.ok:
-            ind.fitness = res.fitness
-            ind.test_accuracy = res.test_accuracy
-            archive.add(ind)
+        proposals.append(Individual(id=cid, ideas=ideas, program_text=program_text,
+                                    origin=resp.op_kind, generation_born=gen_index))
+    scored = _score(proposals, archive, graph, split, train_cfg, search_cfg.pool_size,
+                    memo)
     gen_log = {
         "gen": gen_index,
-        "candidates": [rec for rec, _ in candidates],
+        "candidates": sorted(malformed + scored, key=lambda rec: rec["id"]),
         "bridge_failed": bridge_failed,
         "best_fitness": archive.best.fitness,
         "archive_size": len(archive),
@@ -271,7 +252,7 @@ def run_search(graph, split, search_cfg, train_cfg, backend, out_dir=None, log=N
     best_program.txt.
 
     Each distinct program text is trained once per run: repeats reuse the
-    run's fitness memo (see `_score_texts`).
+    run's fitness memo (see `_score`).
     """
     rng = np.random.default_rng(search_cfg.seed)
     memo = {}

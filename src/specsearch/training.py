@@ -59,12 +59,6 @@ class TrainConfig:
     def dtype(self):
         return np.float64 if self.float64 else np.float32
 
-    def to_dict(self):
-        return {"max_epochs": self.max_epochs, "patience": self.patience,
-                "lr": self.lr, "weight_decay": self.weight_decay,
-                "dropout": self.dropout, "hidden": self.hidden, "seed": self.seed,
-                "timeout_seconds": self.timeout_seconds, "float64": self.float64}
-
 
 class ModelAssembly:
     """2-layer MLP feature transform -> mechanism -> linear head (when needed).
@@ -198,8 +192,7 @@ def train(assembly, graph, split, cfg):
 
 @dataclass
 class FitResult:
-    status: str                 # "ok" or "discarded"
-    reason: str = None          # `discard_reason` of the error that ended it, timeout or crash
+    status: str                 # "ok", or the discard reason: `discard_reason`, timeout or crash
     fitness: float = None       # validation accuracy, only when ok
     test_accuracy: float = None
     epochs_run: int = 0
@@ -213,7 +206,7 @@ class FitResult:
         return self.status == "ok"
 
     def to_dict(self):
-        return {"status": self.status if self.ok else self.reason,
+        return {"status": self.status,
                 "fitness": self.fitness, "epochs_run": self.epochs_run,
                 "best_epoch": self.best_epoch,
                 "wall_seconds": round(self.wall_seconds, 3),
@@ -321,7 +314,7 @@ def _score_worker(conn, typed, graph, split, cfg, mallopt):
     try:
         result = _score_impl(typed, graph, split, cfg)
     except Exception as exc:
-        result = FitResult("discarded", reason=discard_reason(exc))
+        result = FitResult(discard_reason(exc))
     usage = resource.getrusage(resource.RUSAGE_SELF)
     result = replace(result, wall_seconds=time.monotonic() - start,
                      cpu_seconds=usage.ru_utime + usage.ru_stime,
@@ -362,7 +355,7 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
         try:
             jobs[i] = lower(text, graph, cfg)
         except Exception as exc:
-            results[i] = FitResult("discarded", reason=discard_reason(exc),
+            results[i] = FitResult(discard_reason(exc),
                                    wall_seconds=time.monotonic() - start)
     if not jobs:
         return results
@@ -412,7 +405,7 @@ def _run_batch(jobs, results, graph, split, cfg, pool_size):
                     try:
                         results[i] = conn.recv()
                     except EOFError:    # the worker exited without sending a result
-                        results[i] = FitResult("discarded", reason="crash",
+                        results[i] = FitResult("crash",
                                                wall_seconds=elapsed)
                     proc.join()
                     conn.close()
@@ -420,7 +413,7 @@ def _run_batch(jobs, results, graph, split, cfg, pool_size):
                 elif elapsed >= cfg.timeout_seconds:
                     _stop(proc)
                     conn.close()
-                    results[i] = FitResult("discarded", reason="timeout",
+                    results[i] = FitResult("timeout",
                                            wall_seconds=elapsed)
                     del pending[i]
     finally:

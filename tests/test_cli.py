@@ -108,10 +108,17 @@ class TestUsage:
 
         def spy(texts, graph, split, *args, **kwargs):
             splits.append(split)
-            return [training.FitResult("discarded", reason="crash")] * len(texts)
+            return [training.FitResult("crash")] * len(texts)
         monkeypatch.setattr(training, "evaluate_batch", spy)
         run([*split_argv(command, path), "--split", "from-file"])
         assert splits == [g.splits]
+
+    @pytest.mark.parametrize("flags", [["--out-dir", "outx"], ["--force"]])
+    def test_eval_takes_no_out_dir(self, dataset, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        assert run([*split_argv("eval", dataset), *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "outx").exists()
 
     def test_missing_dataset_file(self, capsys):
         assert run(["eval", "--dataset", "/nonexistent.json",
@@ -231,7 +238,7 @@ class TestXeval:
                                       stratified=True)
             for line, text in zip(lines[1:], texts):
                 (res,) = real([text], g, split, cfg, pool_size=1)
-                cell = f"{res.test_accuracy:.4f}" if res.ok else res.reason
+                cell = f"{res.test_accuracy:.4f}" if res.ok else res.status
                 assert line.split(",")[col] == cell
         assert [line.split(",")[0] for line in lines[1:]] == ["gcn", "bad", "appnp"]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsearch import autodiff as ad
-from specsearch import dsl, graphs, training
+from specsearch import dsl, graphs, search, training
 from specsearch.dsl.corpus import SEARCHED_NAMES, SEED_NAMES
 from specsearch.dsl.parser import KEYWORDS, MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.dsl import nodes
@@ -195,11 +195,13 @@ class TestTokenEdits:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(name=st.sampled_from(dsl.builtin_names()), edits=EDITS)
     def test_printed_program_parses_to_itself(self, name, edits):
+        text = edited_builtin(name, edits)
         try:
-            prog = dsl.parse(edited_builtin(name, edits))
+            prog = dsl.parse(text)
         except DslSyntaxError:
             return
         assert dsl.parse(dsl.print_program(prog)) == prog
+        assert search.dedup_key(text) == search.dedup_key(dsl.print_program(prog))
 
 
 class TestShapeChecker:

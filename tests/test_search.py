@@ -56,7 +56,13 @@ class TestEliteArchive:
         assert archive.add(ind(0, 0.9, text=text))
         spaced = text.replace("{ init", "{\n  init")
         assert not archive.add(ind(1, 0.8, text=spaced))
-        assert len(archive) == 1
+        commented = text.replace("{ init", "{ # propagate nothing\n init")
+        assert search.dedup_key(commented) == search.dedup_key(text)
+        assert not archive.add(ind(2, 0.8, text=commented))
+        renamed = text.replace("mechanism m", "mechanism m2")
+        assert search.dedup_key(renamed) != search.dedup_key(text)
+        assert archive.add(ind(3, 0.8, text=renamed))
+        assert len(archive) == 2
 
     def test_rejects_unevaluated(self):
         archive = EliteArchive()
@@ -138,7 +144,7 @@ class TestInitPopulation:
         g, split, tcfg = search_env
         monkeypatch.setattr(
             search.training, "evaluate_batch",
-            lambda *a, **k: [training.FitResult("discarded", reason="numeric")])
+            lambda *a, **k: [training.FitResult("numeric")])
         with pytest.raises(SpecSearchError, match="seed"):
             search.init_population(["gcn"], g, split, tcfg)
 
@@ -241,7 +247,7 @@ class TestFitnessMemo:
                                            reason, resent):
         g, split, tcfg = search_env
         archive, backend, scfg = self.seeded(search_env, tmp_path, generations=2)
-        sent = spy_on_batches(monkeypatch, training.FitResult("discarded", reason=reason))
+        sent = spy_on_batches(monkeypatch, training.FitResult(reason))
         memo = {}
         for gen in (1, 2):
             gen_log, _ = search.run_generation(archive, backend, g, split, tcfg, scfg,

@@ -12,7 +12,7 @@ import pytest
 
 from specsearch import autodiff as ad
 from specsearch import dsl, graphs, training
-from specsearch.dsl.parser import MAX_DEPTH
+from specsearch.dsl.parser import MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.errors import (CompileError, DslSyntaxError, NumericalError, ShapeMismatch,
                                SpecSearchError, UndeclaredIdentifier)
 
@@ -186,7 +186,7 @@ class TestScoring:
     def test_unparseable_text(self, scored_setup):
         g, split, cfg = scored_setup
         res = score("not a program", g, split, cfg)
-        assert res.status == "discarded" and res.reason == "parse"
+        assert res.status == "parse"
         assert res.to_dict()["best_epoch"] == res.to_dict()["epochs_run"] == 0
         assert 0 < res.wall_seconds < 1     # the front end's time, in this process
         assert res.cpu_seconds is None and res.peak_rss_mb is None
@@ -195,7 +195,7 @@ class TestScoring:
         g, split, cfg = scored_setup
         bad = "mechanism m { init { Z = X @ X; } out { Y = Z; } }"
         res = score(bad, g, split, cfg)
-        assert res.reason == "shape"
+        assert res.status == "shape"
 
     def test_unexpected_exception_is_internal(self, scored_setup, monkeypatch):
         def broken_train(*args, **kwargs):
@@ -203,7 +203,7 @@ class TestScoring:
         monkeypatch.setattr(training, "train", broken_train)
         g, split, cfg = scored_setup
         res = score(dsl.builtin("gcn"), g, split, cfg)
-        assert res.status == "discarded" and res.reason == "internal"
+        assert res.status == "internal"
 
     def test_allocation_failure_is_memory(self, scored_setup, monkeypatch):
         def out_of_memory(*args):
@@ -211,13 +211,13 @@ class TestScoring:
         monkeypatch.setattr(training, "_score_impl", out_of_memory)
         g, split, cfg = scored_setup
         res = score(dsl.builtin("gcn"), g, split, cfg)
-        assert res.status == "discarded" and res.reason == "memory"
+        assert res.status == "memory"
 
     def test_worker_exit_without_result_is_crash(self, scored_setup, monkeypatch):
         monkeypatch.setattr(training, "_score_impl", lambda *args: os._exit(3))
         g, split, cfg = scored_setup
         res = score(dsl.builtin("gcn"), g, split, cfg)
-        assert res.status == "discarded" and res.reason == "crash"
+        assert res.status == "crash"
         assert res.cpu_seconds is None and res.peak_rss_mb is None
 
 
@@ -241,13 +241,13 @@ class TestScoring:
         assert text != LABEL_PROGRAM
         g, split, cfg = scored_setup
         res = score(text, g, split, cfg)
-        assert res.status == "discarded" and res.reason == reason
+        assert res.status == reason
 
     def test_deep_nesting_is_parse(self, scored_setup):
         g, split, cfg = scored_setup
         text = nested_program("brackets", 1000)
         res = score(text, g, split, cfg)
-        assert res.status == "discarded" and res.reason == "parse"
+        assert res.status == "parse"
 
     @pytest.mark.parametrize("kind", NESTING_KINDS)
     def test_nesting_at_cap_scores(self, scored_setup, kind):
@@ -261,7 +261,7 @@ class TestScoring:
         cfg = training.TrainConfig(max_epochs=200, hidden=16, seed=0,
                                    timeout_seconds=1)
         res = score(OVERSIZED_PROGRAM, g, split, cfg)
-        assert res.reason == "timeout"
+        assert res.status == "timeout"
         assert res.wall_seconds < 6.0   # killed at the timeout
         assert res.to_dict()["cpu_seconds"] is None and res.to_dict()["peak_rss_mb"] is None
 
@@ -272,7 +272,7 @@ class TestScoring:
                                    timeout_seconds=30)
         texts = ["garbage", dsl.builtin("gcn"), dsl.builtin("appnp")]
         results = training.evaluate_batch(texts, g, split, cfg, pool_size=3)
-        assert results[0].reason == "parse"
+        assert results[0].status == "parse"
         assert results[1].ok and results[2].ok
 
     def test_batch_deterministic_fitness(self):
@@ -293,6 +293,10 @@ class TestFrontEnd:
         ("mechanism m { init { Z = Q; } out { Y = Z; } }", "shape"),
         (LABEL_PROGRAM.replace("W[k]", "W[3]"), "compile"),
         (LABEL_PROGRAM.replace("Y = Z;", "Y = Z * pow(10, 400);"), "numeric"),
+        pytest.param((LABEL_PROGRAM + "#").ljust(MAX_TEXT_CHARS + 1, "x"), "parse",
+                     id="past-text-cap-parse"),
+        pytest.param(nested_program("brackets", MAX_DEPTH + 1), "parse",
+                     id="past-depth-cap-parse"),
     ])
     def test_discard_starts_no_process(self, sep_graph, sep_split, monkeypatch, text,
                                        reason):
@@ -303,7 +307,7 @@ class TestFrontEnd:
         results = training.evaluate_batch([text, text], sep_graph, sep_split, cfg,
                                           pool_size=2)
         for res in results:
-            assert res.status == "discarded" and res.reason == reason
+            assert res.status == reason
             assert 0 < res.wall_seconds < 1
             assert res.cpu_seconds is None and res.peak_rss_mb is None
 
@@ -313,7 +317,7 @@ class TestFrontEnd:
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
         texts = ["garbage", dsl.builtin("gcn"), "garbage", dsl.builtin("appnp")]
         res = training.evaluate_batch(texts, sep_graph, sep_split, cfg, pool_size=2)
-        assert [r.reason for r in res] == ["parse", None, "parse", None]
+        assert [r.status for r in res] == ["parse", "ok", "parse", "ok"]
         assert [r.fitness for r in res[1::2]] == [
             len(training.lower(t, sep_graph, cfg).ops) for t in texts[1::2]]
 
@@ -441,7 +445,7 @@ class TestBlasPin:
         monkeypatch.setattr(training, "_score_impl", score)
         cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8, timeout_seconds=1)
         res = training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg, pool_size=1)
-        assert res[0].reason == reason
+        assert res[0].status == reason
         assert blas.get_num_threads() == 2
 
     def test_parent_count_restored_when_batch_raises(self, blas, sep_graph, sep_split,
