@@ -15,16 +15,20 @@ import numpy as np
 from .errors import NumericalError, ShapeMismatch
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
+    """A value on the tape. `vjp(g)` maps the gradient of `data` to one gradient
+    per parent, in `parents` order, each of the parent's shape or of a shape
+    that broadcasts from it; `backward` alone reduces and sums them into `.grad`."""
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    __slots__ = ("data", "grad", "requires_grad", "parents", "vjp")
+
+    def __init__(self, data, requires_grad=False, parents=(), vjp=None):
         if not np.all(np.isfinite(data)):
             raise NumericalError("non-finite value in forward computation")
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self.parents = parents
-        self.backward_fn = backward_fn
+        self.vjp = vjp
 
     @property
     def shape(self):
@@ -32,16 +36,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _accum(t, g):
-    """Add `g` (t's shape and dtype) to t's gradient.
-
-    Never in place: one `g` may be handed to several tensors (add passes the
-    same array to both parents), so a grad is replaced, not updated.
-    """
-    if t.requires_grad or t.parents:
-        t.grad = g if t.grad is None else t.grad + g
 
 
 def _reduce_broadcast(g, shape):
@@ -57,75 +51,42 @@ def _reduce_broadcast(g, shape):
 
 
 def add(a, b):
-    out = Tensor(a.data + b.data, parents=(a, b))
-
-    def bw(g):
-        _accum(a, _reduce_broadcast(g, a.shape))
-        _accum(b, _reduce_broadcast(g, b.shape))
-    out.backward_fn = bw
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), vjp=lambda g: (g, g))
 
 
 def sub(a, b):
-    out = Tensor(a.data - b.data, parents=(a, b))
-
-    def bw(g):
-        _accum(a, _reduce_broadcast(g, a.shape))
-        _accum(b, -_reduce_broadcast(g, b.shape))
-    out.backward_fn = bw
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), vjp=lambda g: (g, -g))
 
 
 def mul(a, b):
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def bw(g):
-        _accum(a, _reduce_broadcast(g * b.data, a.shape))
-        _accum(b, _reduce_broadcast(g * a.data, b.shape))
-    out.backward_fn = bw
-    return out
+    return Tensor(a.data * b.data, parents=(a, b),
+                  vjp=lambda g: (g * b.data, g * a.data))
 
 
 def div(a, b):
     if np.any(b.data == 0.0):
         raise NumericalError("division by zero")
-    out = Tensor(a.data / b.data, parents=(a, b))
-
-    def bw(g):
-        _accum(a, _reduce_broadcast(g / b.data, a.shape))
-        _accum(b, _reduce_broadcast(-g * a.data / (b.data * b.data), b.shape))
-    out.backward_fn = bw
-    return out
+    return Tensor(a.data / b.data, parents=(a, b),
+                  vjp=lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def neg(a):
-    out = Tensor(-a.data, parents=(a,))
-    out.backward_fn = lambda g: _accum(a, -g)
-    return out
+    return Tensor(-a.data, parents=(a,), vjp=lambda g: (-g,))
 
 
 def matmul(a, b):
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-    out.backward_fn = bw
-    return out
+    return Tensor(a.data @ b.data, parents=(a, b),
+                  vjp=lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def spmm(op, x):
     """Fixed sparse operator times dense tensor; gradient flows only into x."""
-    out = Tensor(op.csr @ x.data, parents=(x,))
-    out.backward_fn = lambda g: _accum(x, op.csr.T @ g)
-    return out
+    return Tensor(op.csr @ x.data, parents=(x,), vjp=lambda g: (op.csr.T @ g,))
 
 
 def _unary(a, fval, fgrad):
     y = fval(a.data)
-    out = Tensor(y, parents=(a,))
-    out.backward_fn = lambda g: _accum(a, g * fgrad(a.data, y))
-    return out
+    return Tensor(y, parents=(a,), vjp=lambda g: (g * fgrad(a.data, y),))
 
 
 def relu(a):
@@ -157,26 +118,19 @@ def softmax_rows(a):
     z = a.data - a.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     y = ez / ez.sum(axis=1, keepdims=True)
-    out = Tensor(y, parents=(a,))
-
-    def bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, y * (g - dot))
-    out.backward_fn = bw
-    return out
+    return Tensor(y, parents=(a,),
+                  vjp=lambda g: (y * (g - (g * y).sum(axis=1, keepdims=True)),))
 
 
 def sum_all(a):
-    out = Tensor(np.array([[a.data.sum()]], dtype=a.data.dtype), parents=(a,))
-    out.backward_fn = lambda g: _accum(a, np.full_like(a.data, float(g[0, 0])))
-    return out
+    return Tensor(np.array([[a.data.sum()]], dtype=a.data.dtype), parents=(a,),
+                  vjp=lambda g: (np.full_like(a.data, float(g[0, 0])),))
 
 
 def sum_rows(a):
     """Row-wise sum: n x d -> n x 1."""
-    out = Tensor(a.data.sum(axis=1, keepdims=True), parents=(a,))
-    out.backward_fn = lambda g: _accum(a, np.broadcast_to(g, a.shape).copy())
-    return out
+    return Tensor(a.data.sum(axis=1, keepdims=True), parents=(a,),
+                  vjp=lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def power(a, exponent):
@@ -184,39 +138,27 @@ def power(a, exponent):
     m = float(exponent)
     if a.data.min() < 0 and m != int(m):
         raise NumericalError("fractional power of a negative value")
-    y = np.power(a.data, m)
-    out = Tensor(y, parents=(a,))
 
-    def bw(g):
+    def vjp(g):
         if m == 0.0:
-            _accum(a, np.zeros_like(a.data))
-        else:
-            base = np.power(a.data, m - 1.0)
-            _accum(a, g * m * base)
-    out.backward_fn = bw
-    return out
+            return (np.zeros_like(a.data),)
+        return (g * m * np.power(a.data, m - 1.0),)
+    return Tensor(np.power(a.data, m), parents=(a,), vjp=vjp)
 
 
 def concat_cols(a, b):
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), parents=(a, b))
-
-    def bw(g):
-        _accum(a, g[:, :a.shape[1]])
-        _accum(b, g[:, a.shape[1]:])
-    out.backward_fn = bw
-    return out
+    cut = a.shape[1]
+    return Tensor(np.concatenate([a.data, b.data], axis=1), parents=(a, b),
+                  vjp=lambda g: (g[:, :cut], g[:, cut:]))
 
 
 def dropout(a, rate, rng):
-    """Inverted dropout with mask drawn from `rng`; identity when rate == 0."""
+    """Inverted dropout with mask drawn from `rng`; identity when rate == 0.
+    `TrainConfig` holds the rate below 1."""
     if rate <= 0.0:
         return a
-    if rate >= 1.0:
-        raise ValueError("dropout rate must be < 1")
     mask = (rng.random(a.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
-    out = Tensor(a.data * mask, parents=(a,))
-    out.backward_fn = lambda g: _accum(a, g * mask)
-    return out
+    return Tensor(a.data * mask, parents=(a,), vjp=lambda g: (g * mask,))
 
 
 def cross_entropy_with_logits(logits, labels, index_set):
@@ -231,16 +173,15 @@ def cross_entropy_with_logits(logits, labels, index_set):
     lse = np.log(np.exp(zs).sum(axis=1, keepdims=True))
     y = labels[idx]
     losses = (lse - zs[np.arange(idx.size), y][:, None])
-    out = Tensor(np.array([[losses.mean()]], dtype=logits.data.dtype), parents=(logits,))
 
-    def bw(g):
+    def vjp(g):
         p = np.exp(zs - lse)
         p[np.arange(idx.size), y] -= 1.0
         full = np.zeros_like(logits.data)
         full[idx] = p * (float(g[0, 0]) / idx.size)
-        _accum(logits, full)
-    out.backward_fn = bw
-    return out
+        return (full,)
+    return Tensor(np.array([[losses.mean()]], dtype=logits.data.dtype), parents=(logits,),
+                  vjp=vjp)
 
 
 def _leaky_relu(x, slope=0.2):
@@ -273,30 +214,29 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
     alpha = ez / denom[r]
     y = np.zeros((n, x.shape[1]), dtype=dtype)
     np.add.at(y, r, alpha[:, None] * x.data[c])
-    out = Tensor(y, parents=(scores_src, scores_dst, x))
 
-    def bw(g):
+    def vjp(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, c, alpha[:, None] * g[r])
-        _accum(x, gx)
         dalpha = (g[r] * x.data[c]).sum(axis=1)
         srow = np.bincount(r, weights=alpha * dalpha, minlength=n).astype(dtype)
         de = alpha * (dalpha - srow[r]) * dlrelu
         gs = np.zeros_like(scores_src.data)
         np.add.at(gs[:, 0], r, de)
-        _accum(scores_src, gs)
         gd = np.zeros_like(scores_dst.data)
         np.add.at(gd[:, 0], c, de)
-        _accum(scores_dst, gd)
-    out.backward_fn = bw
-    return out
+        return gs, gd, gx
+    return Tensor(y, parents=(scores_src, scores_dst, x), vjp=vjp)
 
 
 def backward(loss):
     """Reverse-mode sweep from a scalar loss; fills .grad on reachable leaves.
 
-    Interior nodes (tensors with parents) drop their gradient once it has been
-    passed on, so the sweep holds only the gradients still to be propagated.
+    The one place gradients are summed: each node's `vjp` output is reduced to
+    its parent's shape and added to the parent's gradient, never in place (one
+    array may be handed to several parents, as `add` does). Interior nodes
+    (tensors with parents) drop their gradient once it has been passed on, so
+    the sweep holds only the gradients still to be propagated.
     """
     if loss.shape != (1, 1):
         raise ShapeMismatch(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -317,11 +257,14 @@ def backward(loss):
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node.backward_fn is not None and node.grad is not None:
+        if node.vjp is not None and node.grad is not None:
             g = node.grad
             if not np.all(np.isfinite(g)):
                 raise NumericalError("non-finite gradient")
-            node.backward_fn(g)
+            for p, gp in zip(node.parents, node.vjp(g)):
+                if p.requires_grad or p.parents:
+                    gp = _reduce_broadcast(gp, p.shape)
+                    p.grad = gp if p.grad is None else p.grad + gp
         if node.parents:        # spent: only leaves keep their gradient
             node.grad = None
 

@@ -60,6 +60,7 @@ _OP_INSTRUCTIONS = {
            "propagation mechanism. Give a brief textual description of the "
            "design ideas, then the mechanism."),
 }
+PROMPT_OPS = tuple(_OP_INSTRUCTIONS)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class PromptRequest:
     request_info: str
 
     def __post_init__(self):
-        if self.op_kind not in ("E1", "E2", "C1"):
+        if self.op_kind not in PROMPT_OPS:
             raise ValueError(f"unknown prompt operator {self.op_kind!r}")
         if CLOSING_SENTENCE not in self.request_info:
             raise ValueError(f"request_info must contain {CLOSING_SENTENCE!r}")
@@ -154,12 +155,20 @@ class ReplayBackend:
     def __init__(self, path):
         self.records = {}
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        for rec in lines:
-            key = (int(rec["gen"]), rec["op"], int(rec["slot"]))
-            if key in self.records:
-                raise SpecSearchError(f"duplicate replay key {key}")
-            self.records[key] = rec["text"]
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    key = (int(rec["gen"]), rec["op"], int(rec["slot"]))
+                    text = rec["text"]
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise SpecSearchError(
+                        f"replay file {path}, line {lineno}: not a record with gen, op, "
+                        f"slot and text ({type(exc).__name__}: {exc})") from None
+                if key in self.records:
+                    raise SpecSearchError(f"duplicate replay key {key}")
+                self.records[key] = text
 
     def complete_one(self, request, generation, slot):
         key = (generation, request.op_kind, slot)

@@ -56,6 +56,13 @@ def _config(cls, fields):
         raise UsageError(str(exc)) from None
 
 
+def _object(value, key):
+    """A search config's JSON object under `key`; any other value is a usage error."""
+    if not isinstance(value, dict):
+        raise UsageError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _cell(value):
     """A CSV accuracy cell: four decimals, or empty when there is no value."""
     return "" if value is None else f"{value:.4f}"
@@ -82,7 +89,7 @@ def _make_split(graph, ratios, seed, stratified=True, from_file=False):
         split = graph.splits if from_file else graphs.make_split(
             graph.num_nodes, ratios, labels=graph.labels, seed=seed, stratified=stratified)
         training.check_split(split)
-    except (ValueError, StratificationInfeasible) as exc:
+    except (TypeError, ValueError, StratificationInfeasible) as exc:
         raise UsageError(f"split: {exc}") from None
     return split
 
@@ -141,23 +148,26 @@ def cmd_search(args):
         raise UsageError("search needs a dataset (config key 'dataset' or --dataset)")
     graph = graphs.load_dataset(dataset)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if not isinstance(seed, int):
+        raise UsageError(f"config key 'seed' must be an integer, got {seed!r}")
 
-    split_spec = cfg.get("split", {"ratios": list(DEFAULT_RATIOS), "stratified": True})
+    default_split = {"ratios": list(DEFAULT_RATIOS), "stratified": True}
+    split_spec = _object(cfg.get("split", default_split), "split")
     if args.split == "from-file":
         split_spec = {"from_file": True}
     elif args.split:
         split_spec = {"ratios": list(_parse_split(args.split)),
                       "stratified": split_spec.get("stratified", True)}
-    split = _make_split(graph, tuple(split_spec.get("ratios", ())),
+    split = _make_split(graph, split_spec.get("ratios", ()),
                         split_spec.get("seed", seed),
                         stratified=split_spec.get("stratified", True),
                         from_file=split_spec.get("from_file", False))
 
-    train_over = dict(cfg.get("train", {}))
+    train_over = dict(_object(cfg.get("train", {}), "train"))
     train_over.setdefault("seed", seed)
     train_cfg = _train_cfg_from(args, train_over)
 
-    search_over = dict(cfg.get("search", {}))
+    search_over = dict(_object(cfg.get("search", {}), "search"))
     search_over.setdefault("seed", seed)
     if args.generations is not None:
         search_over["generations"] = args.generations
@@ -167,14 +177,19 @@ def cmd_search(args):
         search_over["prompt_ops"] = tuple(search_over["prompt_ops"])
     search_cfg = _config(search.SearchConfig, search_over)
 
-    backend_spec = cfg.get("backend", {})
+    backend_spec = _object(cfg.get("backend", {}), "backend")
     if args.replay_file:
         backend_spec = {"replay": args.replay_file}
     if "replay" in backend_spec:
+        if not isinstance(backend_spec["replay"], str):
+            raise UsageError("config key 'backend.replay' must be a file path")
         backend = ReplayBackend(backend_spec["replay"])
-        backend_desc = {"replay": str(backend_spec["replay"])}
+        backend_desc = {"replay": backend_spec["replay"]}
     elif "live" in backend_spec:
-        live = backend_spec["live"]
+        live = _object(backend_spec["live"], "backend.live")
+        missing = [k for k in ("base_url", "model") if k not in live]
+        if missing:
+            raise UsageError(f"config key 'backend.live' needs {' and '.join(missing)}")
         backend = LiveBackend(live["base_url"], live["model"],
                               temperature=live.get("temperature", 1.0),
                               max_concurrent=live.get("max_concurrent", 4))

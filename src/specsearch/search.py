@@ -81,15 +81,21 @@ class SearchConfig:
     P1: int = 4
     P2: int = 4
     parallel_responses: int = 4
-    prompt_ops: tuple = ("E1", "E2", "C1")
+    prompt_ops: tuple = bridge.PROMPT_OPS
     archive_capacity: int = 30
     pool_size: int = training.USABLE_CORES
     seed: int = 0
     seed_programs: tuple = SEED_NAMES
 
     def __post_init__(self):
-        if self.pool_size < 1:
-            raise ValueError(f"pool_size must be at least 1, got {self.pool_size}")
+        if self.generations < 0:
+            raise ValueError(f"generations must be at least 0, got {self.generations}")
+        for name in ("P1", "P2", "parallel_responses", "archive_capacity", "pool_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for op in self.prompt_ops:
+            if op not in bridge.PROMPT_OPS:
+                raise ValueError(f"unknown prompt operator {op!r}")
 
 
 def select_for_prompt(archive, op_kind, P, rng):

@@ -54,6 +54,10 @@ class TrainConfig:
             raise ValueError("epochs, patience, and hidden must be positive")
         if self.timeout_seconds < 1:
             raise ValueError("timeout must be at least 1 second")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
     @property
     def dtype(self):

@@ -232,6 +232,45 @@ class TestGradientSuite:
                 {"src": src, "dst": dst, "x": x})
 
 
+class TestGradientRule:
+    """`backward` sums each op's VJP into `.grad`: a tensor passed in two operand
+    slots gets both gradients, and a broadcast operand's gradient is reduced to
+    its own shape."""
+
+    N_INSTANCES = 5
+
+    def weighted(self, op, left, right):
+        """sum(op(left, right) * w) for a fixed random w, so no gradient is uniform."""
+        def build(t):
+            out = op(t[left], t[right])
+            w = np.random.default_rng(9).standard_normal(out.shape)
+            return ad.sum_all(ad.mul(out, ad.Tensor(w)))
+        return build
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul,
+                                    ad.concat_cols])
+    def test_one_tensor_as_both_operands(self, op):
+        for i in range(self.N_INSTANCES):
+            a = np.abs(np.random.default_rng(i).standard_normal((3, 3))) + 0.5
+            check_gradients(self.weighted(op, "a", "a"), {"a": a})
+
+    @pytest.mark.parametrize("small", [(1, 3), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_broadcast_operand(self, op, side, small):
+        operands = ("s", "big") if side == "left" else ("big", "s")
+        for i in range(self.N_INSTANCES):
+            rng = np.random.default_rng(i)
+            arrays = {"big": np.abs(rng.standard_normal((4, 3))) + 0.5,
+                      "s": np.abs(rng.standard_normal(small)) + 0.5}
+            build = self.weighted(op, *operands)
+            check_gradients(build, arrays)
+            tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+            ad.backward(build(tensors))
+            assert tensors["s"].grad.shape == small
+            assert tensors["big"].grad.shape == (4, 3)
+
+
 class TestEdgeAttnAgg:
     def path3(self):
         dense = np.zeros((3, 3))

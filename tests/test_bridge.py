@@ -102,6 +102,25 @@ class TestReplayBackend:
         with pytest.raises(SpecSearchError, match="duplicate"):
             ReplayBackend(path)
 
+    @pytest.mark.parametrize("line, cause", [
+        ("{not json", "JSONDecodeError"),
+        ('{"gen": 1, "op": "E2", "slot": 0}', "KeyError: 'text'"),
+        ('{"gen": "one", "op": "E2", "slot": 0, "text": null}', "ValueError"),
+        ("[1, 2]", "TypeError"),
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, line, cause):
+        path = make_replay_file(tmp_path, full_replay_records(1, ops=("E1",), slots=1))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + line + "\n")
+        with pytest.raises(SpecSearchError, match=f"line 3: .*{re.escape(cause)}"):
+            ReplayBackend(path)
+
+    def test_null_text_is_a_failed_call(self, tmp_path):
+        rec = {"gen": 1, "op": "E1", "slot": 0, "text": None}
+        backend = ReplayBackend(make_replay_file(tmp_path, [rec]))
+        (resp,) = bridge.complete([make_request("E1", 4)], 1, backend, generation=1)
+        assert resp.failed
+
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     """Fails every request for one slot-marker; succeeds otherwise."""

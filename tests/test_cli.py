@@ -298,6 +298,10 @@ class TestSearch:
     @pytest.mark.parametrize("search_cfg, message", [
         ({"pool_size": 0}, "pool_size must be at least 1"),
         ({"pool": 2}, "unexpected keyword argument 'pool'"),
+        ({"prompt_ops": ["E9"]}, "unknown prompt operator 'E9'"),
+        ({"generations": -1}, "generations must be at least 0"),
+        ({"archive_capacity": 0}, "archive_capacity must be at least 1"),
+        ({"parallel_responses": 0}, "parallel_responses must be at least 1"),
     ])
     def test_bad_search_config_is_usage_error(self, dataset, tmp_path, capsys,
                                               search_cfg, message):
@@ -363,6 +367,60 @@ class TestSearch:
         assert run(["search", "--config", cfg, "--out-dir", tmp_path / "run",
                     "--timeout-secs", "0"]) == 1
         assert capsys.readouterr().err.startswith("usage error: timeout")
+
+    @pytest.mark.parametrize("train_cfg, message", [
+        ({"dropout": 1.0}, "dropout must be in [0, 1)"),
+        ({"dropout": -0.5}, "dropout must be in [0, 1)"),
+        ({"lr": 0}, "lr must be positive"),
+    ])
+    def test_unusable_train_value_is_usage_error(self, dataset, tmp_path, capsys,
+                                                 train_cfg, message):
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        path = self.write_config(tmp_path, dataset, replay)
+        cfg = json.loads(path.read_text())
+        cfg["train"].update(train_cfg)
+        path.write_text(json.dumps(cfg))
+        assert run(["search", "--config", path, "--out-dir", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("backend", {"live": {"model": "m"}}, "'backend.live' needs base_url"),
+        ("backend", {"live": "http://localhost"}, "'backend.live' must be a JSON object"),
+        ("backend", "replay", "'backend' must be a JSON object"),
+        ("backend", {"replay": 5}, "'backend.replay' must be a file path"),
+        ("train", [1], "'train' must be a JSON object"),
+        ("search", None, "'search' must be a JSON object"),
+        ("split", [0.3, 0.2, 0.5], "'split' must be a JSON object"),
+        ("split", {"ratios": 5}, "split: cannot unpack"),
+        ("split", {"ratios": [0.3, 0.2, 0.5], "seed": "x"}, "usage error: split:"),
+        ("seed", "x", "'seed' must be an integer"),
+    ])
+    def test_malformed_config_section_is_usage_error(self, dataset, tmp_path, capsys,
+                                                     key, value, message):
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        path = self.write_config(tmp_path, dataset, replay)
+        cfg = json.loads(path.read_text())
+        cfg[key] = value
+        path.write_text(json.dumps(cfg))
+        assert run(["search", "--config", path, "--out-dir", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", ["not json", '{"gen": 1, "op": "E1", "slot": 9}'])
+    def test_malformed_replay_file_is_one_error_line(self, dataset, tmp_path, capsys, line):
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        with open(replay, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        cfg = self.write_config(tmp_path, dataset, replay)
+        assert run(["search", "--config", cfg, "--out-dir", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: replay file {replay}, line 13:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_generations_flag_overrides_config(self, dataset, tmp_path, capsys):
         replay = make_replay_file(tmp_path, full_replay_records(1))

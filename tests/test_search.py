@@ -351,3 +351,20 @@ class TestRunSearch:
 
     def test_default_pool_size_is_usable_cores(self):
         assert SearchConfig().pool_size == len(os.sched_getaffinity(0))
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("generations", -1, "generations must be at least 0"),
+        ("P1", 0, "P1 must be at least 1"),
+        ("P2", 0, "P2 must be at least 1"),
+        ("parallel_responses", 0, "parallel_responses must be at least 1"),
+        ("archive_capacity", 0, "archive_capacity must be at least 1"),
+        ("prompt_ops", ("E1", "E9"), "unknown prompt operator 'E9'"),
+    ])
+    def test_value_no_run_can_use_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**{field: value})
+
+    def test_seed_only_run_is_accepted(self):
+        assert SearchConfig(generations=0, prompt_ops=("C1",)).generations == 0

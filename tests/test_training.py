@@ -97,6 +97,24 @@ class TestTrain:
         assert restored_acc == metrics.best_val_acc
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("dropout", 1.0, "dropout must be in"),
+        ("dropout", -0.5, "dropout must be in"),
+        ("lr", 0.0, "lr must be positive"),
+        ("lr", -0.01, "lr must be positive"),
+        ("hidden", 0, "must be positive"),
+    ])
+    def test_value_no_run_can_use_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            training.TrainConfig(**{field: value})
+
+    def test_no_dropout_is_accepted(self, sep_graph, sep_split):
+        cfg = training.TrainConfig(max_epochs=2, patience=2, hidden=8, dropout=0.0)
+        asm = training.build_assembly(dsl.builtin("gcn"), sep_graph, cfg)
+        assert training.train(asm, sep_graph, sep_split, cfg).epochs_run == 2
+
+
 class TestDtype:
     @pytest.mark.parametrize("float64", [False, True])
     @pytest.mark.parametrize("name", dsl.builtin_names())
