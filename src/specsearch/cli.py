@@ -48,8 +48,32 @@ def _positive_int(text):
     return value
 
 
-def _config(cls, fields):
-    """cls(**fields); an unknown field or a rejected value is a usage error."""
+# What a config value of each Python type must be in JSON, and the test for it.
+_JSON_KINDS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+
+
+def _typed(value, kind, key):
+    """`value` as a config value of type `kind` (a tuple from a JSON list); a value
+    of another JSON type is a usage error."""
+    what, accepts = _JSON_KINDS[kind]
+    if not accepts(value):
+        raise UsageError(f"config key {key!r} must be {what}, got {value!r}")
+    return tuple(value) if kind is tuple else value
+
+
+def _config(cls, fields, section):
+    """cls(**fields). Each field must have the type of its default (`_typed`);
+    an unknown field or a rejected value is a usage error."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    fields = {name: _typed(value, kinds[name], f"{section}.{name}") if name in kinds
+              else value for name, value in fields.items()}
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
@@ -132,7 +156,7 @@ def _train_cfg_from(args, base=None):
         cfg["timeout_seconds"] = args.timeout_secs
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    return _config(training.TrainConfig, cfg)
+    return _config(training.TrainConfig, cfg, "train")
 
 
 def cmd_search(args):
@@ -146,10 +170,8 @@ def cmd_search(args):
     dataset = args.dataset or cfg.get("dataset")
     if dataset is None:
         raise UsageError("search needs a dataset (config key 'dataset' or --dataset)")
-    graph = graphs.load_dataset(dataset)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise UsageError(f"config key 'seed' must be an integer, got {seed!r}")
+    graph = graphs.load_dataset(_typed(dataset, str, "dataset"))
+    seed = _typed(args.seed if args.seed is not None else cfg.get("seed", 0), int, "seed")
 
     default_split = {"ratios": list(DEFAULT_RATIOS), "stratified": True}
     split_spec = _object(cfg.get("split", default_split), "split")
@@ -160,8 +182,10 @@ def cmd_search(args):
                       "stratified": split_spec.get("stratified", True)}
     split = _make_split(graph, split_spec.get("ratios", ()),
                         split_spec.get("seed", seed),
-                        stratified=split_spec.get("stratified", True),
-                        from_file=split_spec.get("from_file", False))
+                        stratified=_typed(split_spec.get("stratified", True), bool,
+                                          "split.stratified"),
+                        from_file=_typed(split_spec.get("from_file", False), bool,
+                                         "split.from_file"))
 
     train_over = dict(_object(cfg.get("train", {}), "train"))
     train_over.setdefault("seed", seed)
@@ -171,11 +195,7 @@ def cmd_search(args):
     search_over.setdefault("seed", seed)
     if args.generations is not None:
         search_over["generations"] = args.generations
-    if "seed_programs" in search_over:
-        search_over["seed_programs"] = tuple(search_over["seed_programs"])
-    if "prompt_ops" in search_over:
-        search_over["prompt_ops"] = tuple(search_over["prompt_ops"])
-    search_cfg = _config(search.SearchConfig, search_over)
+    search_cfg = _config(search.SearchConfig, search_over, "search")
 
     backend_spec = _object(cfg.get("backend", {}), "backend")
     if args.replay_file:
@@ -190,18 +210,25 @@ def cmd_search(args):
         missing = [k for k in ("base_url", "model") if k not in live]
         if missing:
             raise UsageError(f"config key 'backend.live' needs {' and '.join(missing)}")
-        backend = LiveBackend(live["base_url"], live["model"],
-                              temperature=live.get("temperature", 1.0),
-                              max_concurrent=live.get("max_concurrent", 4))
-        backend_desc = {"live": {"base_url": live["base_url"], "model": live["model"],
-                                 "temperature": live.get("temperature", 1.0)}}
+        base_url = _typed(live["base_url"], str, "backend.live.base_url")
+        model = _typed(live["model"], str, "backend.live.model")
+        temperature = _typed(live.get("temperature", 1.0), float, "backend.live.temperature")
+        max_concurrent = _typed(live.get("max_concurrent", 4), int,
+                                "backend.live.max_concurrent")
+        if max_concurrent < 1:
+            raise UsageError(f"config key 'backend.live.max_concurrent' must be at "
+                             f"least 1, got {max_concurrent}")
+        backend = LiveBackend(base_url, model, temperature=temperature,
+                              max_concurrent=max_concurrent)
+        backend_desc = {"live": {"base_url": base_url, "model": model,
+                                 "temperature": temperature}}
     else:
         raise UsageError("config must name exactly one backend (replay or live)")
 
     out_dir = args.out_dir or cfg.get("out_dir")
     if out_dir is None:
         raise UsageError("search needs --out-dir or config key 'out_dir'")
-    out = _prepare_out_dir(out_dir, args.force)
+    out = _prepare_out_dir(_typed(out_dir, str, "out_dir"), args.force)
     _write_manifest(out, {
         "command": "search", "version": __version__, "dataset": str(dataset),
         "split": split_spec, "seed": seed, "backend": backend_desc,

@@ -267,6 +267,8 @@ def gen_synthetic(n, classes, homophily, avg_degree, feature_dim, signal, seed):
     Each sampled edge is intra-class with probability `homophily`; class-conditional
     feature means are Gaussian draws scaled by `signal`, with unit noise on top.
     """
+    if classes < 1:
+        raise ValueError("classes must be at least 1")
     if n < classes:
         raise ValueError("need n >= classes")
     if avg_degree <= 0:

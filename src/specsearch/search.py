@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import bridge, dsl, training
 from .dsl.corpus import SEED_NAMES, builtin, builtin_ideas
-from .errors import MalformedResponse, SpecSearchError
+from .errors import DslSyntaxError, MalformedResponse, SpecSearchError
 
 
 @dataclass
@@ -30,20 +31,28 @@ class Individual:
         if not self.program_text:
             raise ValueError("program_text must be non-empty")
 
+    @functools.cached_property
+    def key(self):
+        return dedup_key(self.program_text)
+
 
 def dedup_key(program_text):
-    """A program's identity in the archive: its parsed form. AST nodes compare
-    without source positions, so layout and comments do not count."""
-    return dsl.parse(program_text)
+    """A program's identity in a search run: its parsed form. AST nodes compare
+    without source positions, so layout, comments and number spelling do not
+    count. A text that does not parse is its own key; the front end parses it
+    again and labels it `parse`."""
+    try:
+        return dsl.parse(program_text)
+    except DslSyntaxError:
+        return program_text
 
 
 class EliteArchive:
-    """Bounded, fitness-sorted set of evaluated individuals with program dedup."""
+    """Bounded, fitness-sorted set of evaluated individuals, one per program key."""
 
     def __init__(self, capacity=30):
         self.capacity = capacity
         self.members = []
-        self._keys = {}                 # dedup key -> member
 
     def __len__(self):
         return len(self.members)
@@ -52,17 +61,12 @@ class EliteArchive:
         """Insert an evaluated individual; returns False on duplicate program."""
         if ind.fitness is None:
             raise ValueError("only evaluated individuals enter the archive")
-        key = dedup_key(ind.program_text)
-        if key in self._keys:
+        if any(m.key == ind.key for m in self.members):
             return False
         self.members.append(ind)
         self.members.sort(key=lambda m: (-m.fitness, m.generation_born, m.id))
-        self._keys[key] = ind
         if len(self.members) > self.capacity:
-            dropped = self.members.pop()
-            del self._keys[next(k for k, m in self._keys.items() if m is dropped)]
-            if dropped is ind:
-                return False
+            return self.members.pop() is not ind
         return True
 
     @property
@@ -131,30 +135,30 @@ _MACHINE_BOUND = ("timeout", "crash", "memory")
 
 
 def _score(candidates, archive, graph, split, train_cfg, pool_size, memo):
-    """Score unscored candidates, training each program text not in `memo` once,
+    """Score unscored candidates, training each program key not in `memo` once,
     and add the ok ones to `archive` in candidate order.
 
-    `memo` maps a program's exact text to (candidate id, FitResult) of its
-    first training in this search run; the graph, split and train config are
-    fixed for a run and training is deterministic per seed, so a hit equals a
-    retrain. Returns one record per candidate; a repeat carries its source's
-    status and fitness, `memo_of` the source id and its own wall_seconds,
-    cpu_seconds and peak_rss_mb of 0. A memo of None is a fresh one for this
-    call alone.
+    `memo` maps a program's key (`Individual.key`) to (candidate id, FitResult)
+    of its first training in this search run; the graph, split and train
+    config are fixed for a run and training is deterministic per seed, so a
+    hit equals a retrain. Only the first candidate of each new key is sent.
+    Returns one record per candidate; a repeat carries its source's status and
+    fitness, `memo_of` the source id and its own wall_seconds, cpu_seconds and
+    peak_rss_mb of 0. A memo of None is a fresh one for this call alone.
     """
     memo = {} if memo is None else memo
-    batch = {}                              # text -> id of its first candidate
+    batch = {}                              # key -> its first candidate
     for ind in candidates:
-        if ind.program_text not in memo:
-            batch.setdefault(ind.program_text, ind.id)
-    results = training.evaluate_batch(list(batch), graph, split, train_cfg,
-                                      pool_size=pool_size)
-    fresh = {text: (cid, res) for (text, cid), res in zip(batch.items(), results)}
-    memo.update((text, hit) for text, hit in fresh.items()
+        if ind.key not in memo:
+            batch.setdefault(ind.key, ind)
+    results = training.evaluate_batch([ind.program_text for ind in batch.values()],
+                                      graph, split, train_cfg, pool_size=pool_size)
+    fresh = {key: (ind.id, res) for (key, ind), res in zip(batch.items(), results)}
+    memo.update((key, hit) for key, hit in fresh.items()
                 if hit[1].status not in _MACHINE_BOUND)
     records = []
     for ind in candidates:
-        source, res = fresh.get(ind.program_text) or memo[ind.program_text]
+        source, res = fresh.get(ind.key) or memo[ind.key]
         if source == ind.id:
             fields = res.to_dict()
         else:
@@ -257,8 +261,8 @@ def run_search(graph, split, search_cfg, train_cfg, backend, out_dir=None, log=N
     convergence.csv (gen,best,mean,evaluated_ok; row 0 covers seed init),
     best_program.txt.
 
-    Each distinct program text is trained once per run: repeats reuse the
-    run's fitness memo (see `_score`).
+    Each distinct program (by `dedup_key`) is trained once per run: repeats
+    reuse the run's fitness memo (see `_score`).
     """
     rng = np.random.default_rng(search_cfg.seed)
     memo = {}

@@ -143,6 +143,13 @@ class TestGenData:
         assert capsys.readouterr().err.startswith("usage error: need n >= classes")
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("classes", ["0", "-1"])
+    def test_no_classes_is_usage_error(self, tmp_path, capsys, classes):
+        assert run(["gen-data", "--out", tmp_path / "x.json", "--n", "50",
+                    "--classes", classes]) == 1
+        assert capsys.readouterr().err == "usage error: classes must be at least 1\n"
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestEval:
     def test_json_line_output(self, dataset, capsys):
@@ -302,6 +309,10 @@ class TestSearch:
         ({"generations": -1}, "generations must be at least 0"),
         ({"archive_capacity": 0}, "archive_capacity must be at least 1"),
         ({"parallel_responses": 0}, "parallel_responses must be at least 1"),
+        ({"pool_size": 1.5}, "'search.pool_size' must be an integer, got 1.5"),
+        ({"pool_size": True}, "'search.pool_size' must be an integer, got True"),
+        ({"seed_programs": "gcn"}, "'search.seed_programs' must be a list of strings"),
+        ({"prompt_ops": ["E1", 2]}, "'search.prompt_ops' must be a list of strings"),
     ])
     def test_bad_search_config_is_usage_error(self, dataset, tmp_path, capsys,
                                               search_cfg, message):
@@ -372,6 +383,11 @@ class TestSearch:
         ({"dropout": 1.0}, "dropout must be in [0, 1)"),
         ({"dropout": -0.5}, "dropout must be in [0, 1)"),
         ({"lr": 0}, "lr must be positive"),
+        ({"float64": "no"}, "'train.float64' must be true or false, got 'no'"),
+        ({"float64": 0}, "'train.float64' must be true or false, got 0"),
+        ({"max_epochs": 2.5}, "'train.max_epochs' must be an integer, got 2.5"),
+        ({"lr": "0.01"}, "'train.lr' must be a number, got '0.01'"),
+        ({"lr": True}, "'train.lr' must be a number, got True"),
     ])
     def test_unusable_train_value_is_usage_error(self, dataset, tmp_path, capsys,
                                                  train_cfg, message):
@@ -396,6 +412,22 @@ class TestSearch:
         ("split", {"ratios": 5}, "split: cannot unpack"),
         ("split", {"ratios": [0.3, 0.2, 0.5], "seed": "x"}, "usage error: split:"),
         ("seed", "x", "'seed' must be an integer"),
+        ("seed", True, "'seed' must be an integer, got True"),
+        ("dataset", 5, "'dataset' must be a string, got 5"),
+        ("split", {"ratios": [0.3, 0.2, 0.5], "stratified": "no"},
+         "'split.stratified' must be true or false, got 'no'"),
+        ("split", {"from_file": "no"}, "'split.from_file' must be true or false, got 'no'"),
+        ("backend", {"live": {"base_url": 5, "model": "m"}},
+         "'backend.live.base_url' must be a string, got 5"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "temperature": "hot"}},
+         "'backend.live.temperature' must be a number, got 'hot'"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "max_concurrent": "4"}},
+         "'backend.live.max_concurrent' must be an integer, got '4'"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "max_concurrent": 0}},
+         "'backend.live.max_concurrent' must be at least 1, got 0"),
     ])
     def test_malformed_config_section_is_usage_error(self, dataset, tmp_path, capsys,
                                                      key, value, message):

@@ -200,8 +200,19 @@ class TestTokenEdits:
             prog = dsl.parse(text)
         except DslSyntaxError:
             return
-        assert dsl.parse(dsl.print_program(prog)) == prog
-        assert search.dedup_key(text) == search.dedup_key(dsl.print_program(prog))
+        printed = dsl.print_program(prog)
+        assert dsl.parse(printed) == prog
+        assert search.dedup_key(text) == search.dedup_key(printed)
+
+        def lowered(source):
+            # Warnings carry source positions, so they are left out.
+            try:
+                typed = dsl.check_shapes(dsl.parse(source), DIMS)
+            except Exception as exc:
+                return type(exc)
+            return dataclasses.replace(typed, warnings=[])
+        # Equal keys lower alike, so a memo hit on the key equals a retrain.
+        assert lowered(text) == lowered(printed)
 
 
 class TestShapeChecker:

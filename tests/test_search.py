@@ -259,8 +259,8 @@ class TestFitnessMemo:
 
     def test_proposal_repeating_a_seed_reuses_its_training(self, search_env, tmp_path,
                                                           monkeypatch):
-        # Seeds are stored the way proposals are parsed, so a seed repeated
-        # verbatim by the LLM is the same exact text and hits the run's memo.
+        # The memo is keyed on `dedup_key`, so a seed the LLM repeats, in any
+        # layout, hits the seed's entry and is never sent again.
         g, split, tcfg = search_env
         scfg = SearchConfig(generations=2, pool_size=4, seed=0)
         path = make_replay_file(tmp_path, full_replay_records(
@@ -269,6 +269,37 @@ class TestFitnessMemo:
         search.run_search(g, split, scfg, tcfg, bridge.ReplayBackend(path))
         assert [t for batch in sent for t in batch].count(dsl.builtin("gcn")) == 1
         assert sent[1:] == [[], []]
+
+    def test_reformatted_twins_share_one_training(self, search_env, tmp_path, monkeypatch):
+        g, split, tcfg = search_env
+        scfg = SearchConfig(generations=1, pool_size=4, seed=0)
+        gcn = dsl.builtin("gcn")
+        commented = gcn.replace("{", "{ # the seed, annotated\n", 1)
+        respaced = gcn.replace(" ", "   ")
+        broken = "mechanism broken {"
+        slots = [(1, op, s) for op in ("E1", "E2", "C1") for s in range(4)]
+        override = dict.fromkeys(slots)               # None: a failed call
+        override.update(zip(slots[0:3] + slots[4:7],
+                            map(wrap_response, [commented, respaced, broken] * 2)))
+        path = make_replay_file(tmp_path, full_replay_records(1, override=override))
+        memo = {}
+        archive, _ = search.init_population(scfg.seed_programs, g, split, tcfg, memo=memo)
+        sent = spy_on_batches(monkeypatch)
+        parsed = []
+        parse = dsl.parse
+        monkeypatch.setattr(dsl, "parse", lambda text: parsed.append(text) or parse(text))
+        gen_log, _ = search.run_generation(archive, bridge.ReplayBackend(path), g, split,
+                                           tcfg, scfg, 1, np.random.default_rng(0),
+                                           next_id=4, memo=memo)
+        assert sent == [[broken]]
+        records = gen_log["candidates"]         # commented, respaced, broken, twice
+        assert [r["id"] for r in records] == list(range(4, 10))
+        gcn_id = scfg.seed_programs.index("gcn")
+        for twin in records[0:2] + records[3:5]:
+            assert twin["memo_of"] == gcn_id and twin["status"] == "ok"
+        assert [r["status"] for r in records[2::3]] == ["parse", "parse"]
+        assert len(parsed) == len(records) + 1
+        assert len(archive) == 4
 
     def test_run_never_sends_a_text_twice(self, search_env, tmp_path, monkeypatch):
         g, split, tcfg = search_env
