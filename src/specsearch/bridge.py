@@ -177,25 +177,30 @@ class ReplayBackend:
         return self.records[key]
 
 
+@dataclass
 class LiveBackend:
-    """Chat-completions client: two retries with 1s/4s backoff, then a failure marker."""
+    """Chat-completions client: two retries with 1s/4s backoff, then a failure
+    marker. The API key is read from the environment variable `API_KEY_ENV` names."""
 
     RETRY_DELAYS = (1.0, 4.0)
+    API_KEY_ENV = "LLM_API_KEY"
+    TIMEOUT = 120
 
-    def __init__(self, base_url, model, temperature=1.0, max_concurrent=4,
-                 api_key_env="LLM_API_KEY", timeout=120):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.temperature = temperature
-        self.max_concurrent = max_concurrent
-        self.api_key_env = api_key_env
-        self.timeout = timeout
+    base_url: str
+    model: str
+    temperature: float = 1.0
+    max_concurrent: int = 4
+
+    def __post_init__(self):
+        self.base_url = self.base_url.rstrip("/")
+        if self.max_concurrent < 1:
+            raise ValueError(f"max_concurrent must be at least 1, got {self.max_concurrent}")
 
     def complete_one(self, request, generation, slot):
         import requests as _requests
 
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
+        key = os.environ.get(self.API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = {
@@ -208,7 +213,7 @@ class LiveBackend:
         for attempt in range(attempts):
             try:
                 resp = _requests.post(f"{self.base_url}/chat/completions",
-                                      json=body, headers=headers, timeout=self.timeout)
+                                      json=body, headers=headers, timeout=self.TIMEOUT)
                 resp.raise_for_status()
                 return resp.json()["choices"][0]["message"]["content"]
             except Exception:
@@ -221,7 +226,7 @@ def complete(requests, parallelism, backend, generation=0):
     """`parallelism` completions per request, returned in (request, slot) order;
     `backend.max_concurrent` calls run at a time."""
     jobs = [(slot, req) for req in requests for slot in range(parallelism)]
-    with ThreadPoolExecutor(max_workers=max(1, backend.max_concurrent)) as pool:
+    with ThreadPoolExecutor(max_workers=backend.max_concurrent) as pool:
         futures = [pool.submit(backend.complete_one, req, generation, slot)
                    for slot, req in jobs]
     return [LlmResponse(text=fut.result(), op_kind=req.op_kind,

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -14,10 +15,6 @@ from . import __version__, dsl, graphs, search, training
 from .bridge import LiveBackend, ReplayBackend
 from .dsl.corpus import builtin_names
 from .errors import SpecSearchError, StratificationInfeasible, UnknownBuiltin
-
-
-# train, val and test fractions when neither --split nor a search config names a split
-DEFAULT_RATIOS = (0.025, 0.025, 0.95)
 
 
 class UsageError(Exception):
@@ -29,18 +26,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_split(text):
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if len(parts) != 3:
-        raise UsageError(f"--split needs three comma-separated numbers, got {text!r}")
-    if sum(parts) > 1.0 + 1e-9:
-        parts = [p / 100.0 for p in parts]
-    return tuple(parts)
-
-
 def _positive_int(text):
     value = int(text)
     if value < 1:
@@ -48,43 +33,103 @@ def _positive_int(text):
     return value
 
 
-# What a config value of each Python type must be in JSON, and the test for it.
+def _is_number(v):
+    """A JSON number; `json.load` also reads the tokens NaN and Infinity, which are not."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+# What a config value must be in JSON, and the test for it, keyed by the text of
+# its dataclass field's annotation (the config dataclasses' modules all use
+# `from __future__ import annotations`, so annotations are text).
 _JSON_KINDS = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    tuple: ("a list of strings",
-            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of strings",
+              lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "tuple[float, ...]": ("a list of numbers",
+                          lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "dict": ("a JSON object", lambda v: isinstance(v, dict)),
 }
 
 
-def _typed(value, kind, key):
-    """`value` as a config value of type `kind` (a tuple from a JSON list); a value
-    of another JSON type is a usage error."""
-    what, accepts = _JSON_KINDS[kind]
-    if not accepts(value):
-        raise UsageError(f"config key {key!r} must be {what}, got {value!r}")
-    return tuple(value) if kind is tuple else value
-
-
-def _config(cls, fields, section):
-    """cls(**fields). Each field must have the type of its default (`_typed`);
-    an unknown field or a rejected value is a usage error."""
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    fields = {name: _typed(value, kinds[name], f"{section}.{name}") if name in kinds
-              else value for name, value in fields.items()}
+def _config(cls, obj, section, **flags):
+    """cls(**obj) for the config object `obj` (a dict) under `section` ("" at the
+    top level). Each key must name a field of `cls` and hold a value of the
+    field's JSON kind (`_JSON_KINDS`; a JSON list becomes a tuple). `flags` are
+    command-line values, None when not given; a given one overrides its key.
+    A field without a default must be set; anything else, and a value `cls`
+    rejects, is a usage error."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name, value in obj.items():
+        key = f"{section}.{name}" if section else name
+        if name not in fields:
+            raise UsageError(f"config key {key!r} is not one of {', '.join(fields)}")
+        what, accepts = _JSON_KINDS[fields[name].type]
+        if not accepts(value):
+            raise UsageError(f"config key {key!r} must be {what}, got {value!r}")
+    values = {name: tuple(v) if isinstance(v, list) else v for name, v in obj.items()}
+    values.update((name, v) for name, v in flags.items() if v is not None)
+    missing = [name for name, f in fields.items()
+               if f.default is dataclasses.MISSING and name not in values]
+    if missing:
+        raise UsageError(f"config key {section!r} needs {' and '.join(missing)}")
     try:
-        return cls(**fields)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
 
 
-def _object(value, key):
-    """A search config's JSON object under `key`; any other value is a usage error."""
-    if not isinstance(value, dict):
-        raise UsageError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A search config's top level; each section is read by `_config` in turn."""
+    dataset: str = None
+    seed: int = 0
+    split: dict = None
+    train: dict = None
+    search: dict = None
+    backend: dict = None
+    out_dir: str = None
+
+
+@dataclasses.dataclass(frozen=True)
+class SplitSpec:
+    """A run's split: train, val and test `ratios` drawn with `seed` (stratified
+    by class unless `stratified` is false), or the dataset's stored split when
+    `from_file`."""
+    ratios: tuple[float, ...] = (0.025, 0.025, 0.95)
+    stratified: bool = True
+    seed: int = 0
+    from_file: bool = False
+
+    def with_flag(self, flag):
+        """This spec with a --split flag applied: `from-file` takes the stored
+        split, three fractions or percents replace the ratios."""
+        if flag is None:
+            return self
+        if flag == "from-file":
+            return dataclasses.replace(self, from_file=True)
+        try:
+            parts = [float(p) for p in flag.split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) != 3:
+            raise UsageError(f"--split needs three comma-separated numbers, got {flag!r}")
+        if sum(parts) > 1.0 + 1e-9:
+            parts = [p / 100.0 for p in parts]
+        return dataclasses.replace(self, ratios=tuple(parts), from_file=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class BackendSpec:
+    """A search config's `backend`: a replay file path or a live backend's object."""
+    replay: str = None
+    live: dict = None
+
+    def __post_init__(self):
+        if (self.replay is None) == (self.live is None):
+            raise ValueError("config key 'backend' must name exactly one of replay and live")
 
 
 def _cell(value):
@@ -104,27 +149,19 @@ def _resolve_mechanism(spec):
             f"nor an existing file")
 
 
-def _make_split(graph, ratios, seed, stratified=True, from_file=False):
-    """The run's split. Bad fractions, a class too small to stratify and a split
-    no candidate can be scored on are usage errors."""
-    if from_file and graph.splits is None:
-        raise SpecSearchError("dataset file carries no splits")
+def _make_split(graph, spec):
+    """The split `spec` names. A missing stored split, bad fractions, a class too
+    small to stratify and a split no candidate can be scored on are usage errors."""
+    if spec.from_file and graph.splits is None:
+        raise UsageError("split: dataset file carries no splits")
     try:
-        split = graph.splits if from_file else graphs.make_split(
-            graph.num_nodes, ratios, labels=graph.labels, seed=seed, stratified=stratified)
+        split = graph.splits if spec.from_file else graphs.make_split(
+            graph.num_nodes, spec.ratios, labels=graph.labels, seed=spec.seed,
+            stratified=spec.stratified)
         training.check_split(split)
-    except (TypeError, ValueError, StratificationInfeasible) as exc:
+    except (ValueError, StratificationInfeasible) as exc:
         raise UsageError(f"split: {exc}") from None
     return split
-
-
-def _split_from_flag(graph, flag, seed):
-    """The split of eval, xeval and bench: `--split from-file` takes the
-    dataset's stored split, fractions make a stratified one (DEFAULT_RATIOS
-    without the flag)."""
-    if flag == "from-file":
-        return _make_split(graph, None, seed, from_file=True)
-    return _make_split(graph, _parse_split(flag) if flag else DEFAULT_RATIOS, seed)
 
 
 def _prepare_out_dir(out_dir, force):
@@ -150,13 +187,10 @@ def _scoring_record(pool_size):
             "keep_freed_heap": training.libc_mallopt() is not None}
 
 
-def _train_cfg_from(args, base=None):
-    cfg = dict(base or {})
-    if getattr(args, "timeout_secs", None) is not None:
-        cfg["timeout_seconds"] = args.timeout_secs
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    return _config(training.TrainConfig, cfg, "train")
+def _train_cfg(args, train=None):
+    """The run's TrainConfig: the config's `train` object, then --timeout-secs and --seed."""
+    return _config(training.TrainConfig, train or {}, "train",
+                   timeout_seconds=args.timeout_secs, seed=args.seed)
 
 
 def cmd_search(args):
@@ -167,71 +201,33 @@ def cmd_search(args):
             raise UsageError(f"config {args.config}: malformed JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config {args.config}: expected a JSON object")
-    dataset = args.dataset or cfg.get("dataset")
-    if dataset is None:
+    run = _config(RunConfig, cfg, "", dataset=args.dataset, seed=args.seed,
+                  out_dir=args.out_dir)
+    if run.dataset is None:
         raise UsageError("search needs a dataset (config key 'dataset' or --dataset)")
-    graph = graphs.load_dataset(_typed(dataset, str, "dataset"))
-    seed = _typed(args.seed if args.seed is not None else cfg.get("seed", 0), int, "seed")
-
-    default_split = {"ratios": list(DEFAULT_RATIOS), "stratified": True}
-    split_spec = _object(cfg.get("split", default_split), "split")
-    if args.split == "from-file":
-        split_spec = {"from_file": True}
-    elif args.split:
-        split_spec = {"ratios": list(_parse_split(args.split)),
-                      "stratified": split_spec.get("stratified", True)}
-    split = _make_split(graph, split_spec.get("ratios", ()),
-                        split_spec.get("seed", seed),
-                        stratified=_typed(split_spec.get("stratified", True), bool,
-                                          "split.stratified"),
-                        from_file=_typed(split_spec.get("from_file", False), bool,
-                                         "split.from_file"))
-
-    train_over = dict(_object(cfg.get("train", {}), "train"))
-    train_over.setdefault("seed", seed)
-    train_cfg = _train_cfg_from(args, train_over)
-
-    search_over = dict(_object(cfg.get("search", {}), "search"))
-    search_over.setdefault("seed", seed)
-    if args.generations is not None:
-        search_over["generations"] = args.generations
-    search_cfg = _config(search.SearchConfig, search_over, "search")
-
-    backend_spec = _object(cfg.get("backend", {}), "backend")
-    if args.replay_file:
-        backend_spec = {"replay": args.replay_file}
-    if "replay" in backend_spec:
-        if not isinstance(backend_spec["replay"], str):
-            raise UsageError("config key 'backend.replay' must be a file path")
-        backend = ReplayBackend(backend_spec["replay"])
-        backend_desc = {"replay": backend_spec["replay"]}
-    elif "live" in backend_spec:
-        live = _object(backend_spec["live"], "backend.live")
-        missing = [k for k in ("base_url", "model") if k not in live]
-        if missing:
-            raise UsageError(f"config key 'backend.live' needs {' and '.join(missing)}")
-        base_url = _typed(live["base_url"], str, "backend.live.base_url")
-        model = _typed(live["model"], str, "backend.live.model")
-        temperature = _typed(live.get("temperature", 1.0), float, "backend.live.temperature")
-        max_concurrent = _typed(live.get("max_concurrent", 4), int,
-                                "backend.live.max_concurrent")
-        if max_concurrent < 1:
-            raise UsageError(f"config key 'backend.live.max_concurrent' must be at "
-                             f"least 1, got {max_concurrent}")
-        backend = LiveBackend(base_url, model, temperature=temperature,
-                              max_concurrent=max_concurrent)
-        backend_desc = {"live": {"base_url": base_url, "model": model,
-                                 "temperature": temperature}}
-    else:
-        raise UsageError("config must name exactly one backend (replay or live)")
-
-    out_dir = args.out_dir or cfg.get("out_dir")
-    if out_dir is None:
+    if run.out_dir is None:
         raise UsageError("search needs --out-dir or config key 'out_dir'")
-    out = _prepare_out_dir(_typed(out_dir, str, "out_dir"), args.force)
+    split_spec = _config(SplitSpec, {"seed": run.seed, **(run.split or {})},
+                         "split").with_flag(args.split)
+    train_cfg = _train_cfg(args, {"seed": run.seed, **(run.train or {})})
+    search_cfg = _config(search.SearchConfig, {"seed": run.seed, **(run.search or {})},
+                         "search", generations=args.generations)
+    backend_spec = _config(BackendSpec, {"replay": args.replay_file} if args.replay_file
+                           else run.backend or {}, "backend")
+    if backend_spec.replay is not None:
+        backend = ReplayBackend(backend_spec.replay)
+        backend_desc = {"replay": backend_spec.replay}
+    else:
+        backend = _config(LiveBackend, backend_spec.live, "backend.live")
+        backend_desc = {"live": dataclasses.asdict(backend)}
+
+    graph = graphs.load_dataset(run.dataset)
+    split = _make_split(graph, split_spec)
+    out = _prepare_out_dir(run.out_dir, args.force)
     _write_manifest(out, {
-        "command": "search", "version": __version__, "dataset": str(dataset),
-        "split": split_spec, "seed": seed, "backend": backend_desc,
+        "command": "search", "version": __version__, "dataset": run.dataset,
+        "split": {"from_file": True} if split_spec.from_file else dataclasses.asdict(split_spec),
+        "seed": run.seed, "backend": backend_desc,
         "train": dataclasses.asdict(train_cfg), "search": dataclasses.asdict(search_cfg),
         "scoring": _scoring_record(search_cfg.pool_size),
     })
@@ -246,8 +242,8 @@ def cmd_search(args):
 def cmd_eval(args):
     graph = graphs.load_dataset(args.dataset)
     _, text = _resolve_mechanism(args.mechanism)
-    train_cfg = _train_cfg_from(args)
-    split = _split_from_flag(graph, args.split, train_cfg.seed)
+    train_cfg = _train_cfg(args)
+    split = _make_split(graph, SplitSpec(seed=train_cfg.seed).with_flag(args.split))
     (res,) = training.evaluate_batch([text], graph, split, train_cfg, pool_size=1)
     if not res.ok:
         print(json.dumps({"status": res.status}))
@@ -259,12 +255,12 @@ def cmd_eval(args):
 def _matrix_rows(mech_specs, dataset_paths, args):
     """One row per mechanism, one test-accuracy column per dataset, each column
     scored as one batch."""
-    train_cfg = _train_cfg_from(args)
+    train_cfg = _train_cfg(args)
     datasets = [(Path(p).stem, graphs.load_dataset(p)) for p in dataset_paths]
     mechs = [_resolve_mechanism(spec) for spec in mech_specs]
     rows = [[name] for name, _ in mechs]
     for _, graph in datasets:
-        split = _split_from_flag(graph, args.split, train_cfg.seed)
+        split = _make_split(graph, SplitSpec(seed=train_cfg.seed).with_flag(args.split))
         results = training.evaluate_batch([text for _, text in mechs], graph, split,
                                           train_cfg)
         for row, res in zip(rows, results):
@@ -293,9 +289,9 @@ def cmd_xeval(args):
 
 
 def cmd_bench(args):
-    train_cfg = _train_cfg_from(args)
+    train_cfg = _train_cfg(args)
     graph = graphs.load_dataset(args.dataset)
-    split = _split_from_flag(graph, args.split, train_cfg.seed)
+    split = _make_split(graph, SplitSpec(seed=train_cfg.seed).with_flag(args.split))
     texts = [dsl.builtin(n) for n in builtin_names()]
     results = training.evaluate_batch(texts, graph, split, train_cfg,
                                       pool_size=args.pool_size)
@@ -395,21 +391,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SpecSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,8 +92,9 @@ class SearchConfig:
     seed_programs: tuple = SEED_NAMES
 
     def __post_init__(self):
-        if self.generations < 0:
-            raise ValueError(f"generations must be at least 0, got {self.generations}")
+        for name in ("generations", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         for name in ("P1", "P2", "parallel_responses", "archive_capacity", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

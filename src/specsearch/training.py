@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import multiprocessing as mp
 import os
 import resource
@@ -52,12 +53,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1 or self.hidden < 1:
             raise ValueError("epochs, patience, and hidden must be positive")
-        if self.timeout_seconds < 1:
-            raise ValueError("timeout must be at least 1 second")
+        if not 1 <= self.timeout_seconds < math.inf:
+            raise ValueError(f"timeout must be in [1, inf) seconds, got {self.timeout_seconds}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be in [0, inf), got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     @property
     def dtype(self):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -112,6 +113,20 @@ class TestUsage:
         monkeypatch.setattr(training, "evaluate_batch", spy)
         run([*split_argv(command, path), "--split", "from-file"])
         assert splits == [g.splits]
+
+    @pytest.mark.parametrize("command", ["eval", "xeval", "bench"])
+    def test_missing_stored_split_is_usage_error(self, dataset, capsys, command):
+        assert run([*split_argv(command, dataset), "--split", "from-file"]) == 1
+        assert capsys.readouterr().err == "usage error: split: dataset file carries no splits\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--timeout-secs", "nan"], "timeout must be in [1, inf) seconds, got nan"),
+        (["--timeout-secs", "inf"], "timeout must be in [1, inf) seconds, got inf"),
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
+    ])
+    def test_unusable_eval_flag_is_usage_error(self, dataset, capsys, flags, message):
+        assert run([*split_argv("eval", dataset), *flags]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("flags", [["--out-dir", "outx"], ["--force"]])
     def test_eval_takes_no_out_dir(self, dataset, tmp_path, capsys, monkeypatch, flags):
@@ -304,7 +319,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("search_cfg, message", [
         ({"pool_size": 0}, "pool_size must be at least 1"),
-        ({"pool": 2}, "unexpected keyword argument 'pool'"),
+        ({"pool": 2}, "config key 'search.pool' is not one of generations"),
         ({"prompt_ops": ["E9"]}, "unknown prompt operator 'E9'"),
         ({"generations": -1}, "generations must be at least 0"),
         ({"archive_capacity": 0}, "archive_capacity must be at least 1"),
@@ -313,6 +328,7 @@ class TestSearch:
         ({"pool_size": True}, "'search.pool_size' must be an integer, got True"),
         ({"seed_programs": "gcn"}, "'search.seed_programs' must be a list of strings"),
         ({"prompt_ops": ["E1", 2]}, "'search.prompt_ops' must be a list of strings"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
     ])
     def test_bad_search_config_is_usage_error(self, dataset, tmp_path, capsys,
                                               search_cfg, message):
@@ -372,6 +388,41 @@ class TestSearch:
         assert json.loads((out / "run_manifest.json").read_text())["split"] == {
             "from_file": True}
 
+    def test_split_flag_keeps_config_split_seed(self, dataset, tmp_path, capsys,
+                                                monkeypatch):
+        splits = []
+
+        def spy(graph, split, *args, **kwargs):
+            splits.append(split)
+            best = SimpleNamespace(fitness=0.5, id=0)
+            return SimpleNamespace(best=best, archive=[best])
+        monkeypatch.setattr(cli.search, "run_search", spy)
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        path = self.write_config(tmp_path, dataset, replay)
+        cfg = json.loads(path.read_text())
+        cfg["split"] = {"ratios": [0.3, 0.3, 0.4], "seed": 7}
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["search", "--config", path, "--out-dir", out, "--split", "30,30,40"]) == 0
+        g = graphs.load_dataset(dataset)
+        seeded = [graphs.make_split(g.num_nodes, (0.3, 0.3, 0.4), labels=g.labels, seed=s,
+                                    stratified=True) for s in (7, 0)]
+        assert splits == seeded[:1] and seeded[0] != seeded[1]
+        assert json.loads((out / "run_manifest.json").read_text())["split"] == {
+            "ratios": [0.3, 0.3, 0.4], "stratified": True, "seed": 7, "from_file": False}
+
+    def test_readme_config_runs(self, tmp_path, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        cfg = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        data = tmp_path / "data.json"
+        graphs.save_dataset(graphs.gen_synthetic(200, 2, 0.85, 6.0, 8, 1.0, seed=11), data)
+        cfg["dataset"] = str(data)
+        cfg["backend"]["replay"] = str(make_replay_file(tmp_path, full_replay_records(1)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["search", "--config", path, "--out-dir", tmp_path / "run",
+                    "--generations", "0"]) == 0
+
     def test_bad_train_config_is_usage_error(self, dataset, tmp_path, capsys):
         replay = make_replay_file(tmp_path, full_replay_records(1))
         cfg = self.write_config(tmp_path, dataset, replay)
@@ -388,6 +439,10 @@ class TestSearch:
         ({"max_epochs": 2.5}, "'train.max_epochs' must be an integer, got 2.5"),
         ({"lr": "0.01"}, "'train.lr' must be a number, got '0.01'"),
         ({"lr": True}, "'train.lr' must be a number, got True"),
+        ({"lr": float("nan")}, "'train.lr' must be a number, got nan"),
+        ({"timeout_seconds": float("inf")}, "'train.timeout_seconds' must be a number, got inf"),
+        ({"weight_decay": -0.1}, "weight_decay must be in [0, inf), got -0.1"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
     ])
     def test_unusable_train_value_is_usage_error(self, dataset, tmp_path, capsys,
                                                  train_cfg, message):
@@ -405,12 +460,13 @@ class TestSearch:
         ("backend", {"live": {"model": "m"}}, "'backend.live' needs base_url"),
         ("backend", {"live": "http://localhost"}, "'backend.live' must be a JSON object"),
         ("backend", "replay", "'backend' must be a JSON object"),
-        ("backend", {"replay": 5}, "'backend.replay' must be a file path"),
+        ("backend", {"replay": 5}, "'backend.replay' must be a string, got 5"),
         ("train", [1], "'train' must be a JSON object"),
         ("search", None, "'search' must be a JSON object"),
         ("split", [0.3, 0.2, 0.5], "'split' must be a JSON object"),
-        ("split", {"ratios": 5}, "split: cannot unpack"),
-        ("split", {"ratios": [0.3, 0.2, 0.5], "seed": "x"}, "usage error: split:"),
+        ("split", {"ratios": 5}, "'split.ratios' must be a list of numbers, got 5"),
+        ("split", {"ratios": [0.3, 0.2, 0.5], "seed": "x"},
+         "'split.seed' must be an integer, got 'x'"),
         ("seed", "x", "'seed' must be an integer"),
         ("seed", True, "'seed' must be an integer, got True"),
         ("dataset", 5, "'dataset' must be a string, got 5"),
@@ -427,7 +483,23 @@ class TestSearch:
          "'backend.live.max_concurrent' must be an integer, got '4'"),
         ("backend", {"live": {"base_url": "http://localhost", "model": "m",
                               "max_concurrent": 0}},
-         "'backend.live.max_concurrent' must be at least 1, got 0"),
+         "max_concurrent must be at least 1, got 0"),
+        ("generatons", 3, "config key 'generatons' is not one of dataset, seed"),
+        ("split", {"ratios": [0.3, 0.3, 0.4], "stratifed": False},
+         "config key 'split.stratifed' is not one of ratios"),
+        ("backend", {"replay": "r.jsonl", "retries": 3},
+         "config key 'backend.retries' is not one of replay, live"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "temprature": 0.5}},
+         "config key 'backend.live.temprature' is not one of base_url"),
+        ("backend", {"replay": "r.jsonl", "live": {"base_url": "http://localhost",
+                                                   "model": "m"}},
+         "config key 'backend' must name exactly one of replay and live"),
+        ("split", {"ratios": [0.3, 0.2, 0.5], "seed": True},
+         "'split.seed' must be an integer, got True"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "temperature": float("nan")}},
+         "'backend.live.temperature' must be a number, got nan"),
     ])
     def test_malformed_config_section_is_usage_error(self, dataset, tmp_path, capsys,
                                                      key, value, message):
