@@ -6,6 +6,7 @@ import json
 import os
 import re
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -162,6 +163,8 @@ class ReplayBackend:
                     rec = json.loads(line)
                     key = (int(rec["gen"]), rec["op"], int(rec["slot"]))
                     text = rec["text"]
+                    if text is not None and not isinstance(text, str):
+                        raise TypeError(f"text must be a string or null, got {text!r}")
                 except (ValueError, TypeError, KeyError) as exc:
                     raise SpecSearchError(
                         f"replay file {path}, line {lineno}: not a record with gen, op, "
@@ -180,7 +183,8 @@ class ReplayBackend:
 @dataclass
 class LiveBackend:
     """Chat-completions client: two retries with 1s/4s backoff, then a failure
-    marker. The API key is read from the environment variable `API_KEY_ENV` names."""
+    marker; a reply whose content is not a string fails its attempt. The API key
+    is read from the environment variable `API_KEY_ENV` names."""
 
     RETRY_DELAYS = (1.0, 4.0)
     API_KEY_ENV = "LLM_API_KEY"
@@ -197,25 +201,26 @@ class LiveBackend:
             raise ValueError(f"max_concurrent must be at least 1, got {self.max_concurrent}")
 
     def complete_one(self, request, generation, slot):
-        import requests as _requests
-
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
-        body = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": render_prompt(request)}],
             "n": 1,
             "temperature": self.temperature,
-        }
-        attempts = len(self.RETRY_DELAYS) + 1
-        for attempt in range(attempts):
+        }).encode()
+        post = urllib.request.Request(f"{self.base_url}/chat/completions", data=body,
+                                      headers=headers, method="POST")
+        for attempt in range(len(self.RETRY_DELAYS) + 1):
             try:
-                resp = _requests.post(f"{self.base_url}/chat/completions",
-                                      json=body, headers=headers, timeout=self.TIMEOUT)
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
+                # urlopen raises HTTPError for a 4xx or 5xx status.
+                with urllib.request.urlopen(post, timeout=self.TIMEOUT) as resp:
+                    content = json.load(resp)["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"message content is not a string: {content!r}")
+                return content
             except Exception:
                 if attempt < len(self.RETRY_DELAYS):
                     time.sleep(self.RETRY_DELAYS[attempt])

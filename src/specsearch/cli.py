@@ -103,6 +103,11 @@ class SplitSpec:
     seed: int = 0
     from_file: bool = False
 
+    def __post_init__(self):
+        if len(self.ratios) != 3:
+            raise ValueError(f"split.ratios needs three fractions (train, val, test), "
+                             f"got {len(self.ratios)}")
+
     def with_flag(self, flag):
         """This spec with a --split flag applied: `from-file` takes the stored
         split, three fractions or percents replace the ratios."""
@@ -164,33 +169,53 @@ def _make_split(graph, spec):
     return split
 
 
-def _prepare_out_dir(out_dir, force):
+def _write_manifest(out_dir, force, command, split_spec, train_cfg, pool_size, **inputs):
+    """The run directory `out_dir` (a non-empty one needs `force`), created with its
+    `run_manifest.json`: the command, the applied split and training settings,
+    `scoring` (the pool size, the symbol of the BLAS `set_num_threads` that pins
+    batches to one thread, whether workers keep freed heap), and the inputs."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise SpecSearchError(f"output directory {out} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
+    blas = training.blas_threads()
+    manifest = {
+        "command": command, "version": __version__,
+        "split": {"from_file": True} if split_spec.from_file else dataclasses.asdict(split_spec),
+        "train": dataclasses.asdict(train_cfg),
+        "scoring": {"pool_size": pool_size,
+                    "blas_pin": blas.set_num_threads.__name__ if blas is not None else None,
+                    "keep_freed_heap": training.libc_mallopt() is not None},
+        **inputs}
+    (out / "run_manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return out
 
 
-def _write_manifest(out, manifest):
-    (out / "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _section(cls, run, name, args, **flags):
+    """cls from the config's `name` object. Its seed defaults to the run seed;
+    --seed, like every flag, overrides the key it sets."""
+    return _config(cls, {"seed": run.seed, **(getattr(run, name) or {})}, name,
+                   seed=args.seed, **flags)
 
 
-def _scoring_record(pool_size):
-    """How candidates are scored: the worker pool size, the symbol of the BLAS
-    `set_num_threads` that pins batches to one thread, and whether workers keep
-    freed heap memory (`mallopt` found)."""
-    blas = training.blas_threads()
-    return {"pool_size": pool_size,
-            "blas_pin": blas.set_num_threads.__name__ if blas is not None else None,
-            "keep_freed_heap": training.libc_mallopt() is not None}
+def _settings(args, run=RunConfig()):
+    """A scoring command's applied SplitSpec and TrainConfig: the `split` and
+    `train` objects of `run` (a search config; none for the other commands),
+    then the run seed, then the flags."""
+    split_spec = _section(SplitSpec, run, "split", args).with_flag(args.split)
+    train_cfg = _section(training.TrainConfig, run, "train", args,
+                         timeout_seconds=args.timeout_secs)
+    return split_spec, train_cfg
 
 
-def _train_cfg(args, train=None):
-    """The run's TrainConfig: the config's `train` object, then --timeout-secs and --seed."""
-    return _config(training.TrainConfig, train or {}, "train",
-                   timeout_seconds=args.timeout_secs, seed=args.seed)
+def _score(texts, dataset_paths, split_spec, train_cfg, pool_size):
+    """One result list per dataset for `texts`. Every dataset is loaded and split
+    before any worker starts; each is then scored as one batch."""
+    data = [(graph, _make_split(graph, split_spec))
+            for graph in map(graphs.load_dataset, dataset_paths)]
+    return [training.evaluate_batch(texts, graph, split, train_cfg, pool_size=pool_size)
+            for graph, split in data]
 
 
 def cmd_search(args):
@@ -207,11 +232,9 @@ def cmd_search(args):
         raise UsageError("search needs a dataset (config key 'dataset' or --dataset)")
     if run.out_dir is None:
         raise UsageError("search needs --out-dir or config key 'out_dir'")
-    split_spec = _config(SplitSpec, {"seed": run.seed, **(run.split or {})},
-                         "split").with_flag(args.split)
-    train_cfg = _train_cfg(args, {"seed": run.seed, **(run.train or {})})
-    search_cfg = _config(search.SearchConfig, {"seed": run.seed, **(run.search or {})},
-                         "search", generations=args.generations)
+    split_spec, train_cfg = _settings(args, run)
+    search_cfg = _section(search.SearchConfig, run, "search", args,
+                          generations=args.generations)
     backend_spec = _config(BackendSpec, {"replay": args.replay_file} if args.replay_file
                            else run.backend or {}, "backend")
     if backend_spec.replay is not None:
@@ -223,14 +246,9 @@ def cmd_search(args):
 
     graph = graphs.load_dataset(run.dataset)
     split = _make_split(graph, split_spec)
-    out = _prepare_out_dir(run.out_dir, args.force)
-    _write_manifest(out, {
-        "command": "search", "version": __version__, "dataset": run.dataset,
-        "split": {"from_file": True} if split_spec.from_file else dataclasses.asdict(split_spec),
-        "seed": run.seed, "backend": backend_desc,
-        "train": dataclasses.asdict(train_cfg), "search": dataclasses.asdict(search_cfg),
-        "scoring": _scoring_record(search_cfg.pool_size),
-    })
+    out = _write_manifest(run.out_dir, args.force, "search", split_spec, train_cfg,
+                          search_cfg.pool_size, dataset=run.dataset, seed=run.seed,
+                          backend=backend_desc, search=dataclasses.asdict(search_cfg))
     report = search.run_search(graph, split, search_cfg, train_cfg, backend,
                                out_dir=out, log=lambda m: print(m, file=sys.stderr))
     print(json.dumps({"best_fitness": report.best.fitness,
@@ -240,11 +258,9 @@ def cmd_search(args):
 
 
 def cmd_eval(args):
-    graph = graphs.load_dataset(args.dataset)
+    settings = _settings(args)
     _, text = _resolve_mechanism(args.mechanism)
-    train_cfg = _train_cfg(args)
-    split = _make_split(graph, SplitSpec(seed=train_cfg.seed).with_flag(args.split))
-    (res,) = training.evaluate_batch([text], graph, split, train_cfg, pool_size=1)
+    ((res,),) = _score([text], [args.dataset], *settings, pool_size=1)
     if not res.ok:
         print(json.dumps({"status": res.status}))
         return 2
@@ -252,54 +268,40 @@ def cmd_eval(args):
     return 0
 
 
-def _matrix_rows(mech_specs, dataset_paths, args):
-    """One row per mechanism, one test-accuracy column per dataset, each column
-    scored as one batch."""
-    train_cfg = _train_cfg(args)
-    datasets = [(Path(p).stem, graphs.load_dataset(p)) for p in dataset_paths]
-    mechs = [_resolve_mechanism(spec) for spec in mech_specs]
-    rows = [[name] for name, _ in mechs]
-    for _, graph in datasets:
-        split = _make_split(graph, SplitSpec(seed=train_cfg.seed).with_flag(args.split))
-        results = training.evaluate_batch([text for _, text in mechs], graph, split,
-                                          train_cfg)
-        for row, res in zip(rows, results):
-            row.append(_cell(res.test_accuracy) if res.ok else res.status)
-    return [["mechanism"] + [n for n, _ in datasets]] + rows
-
-
-def _emit_csv(rows, args, command, **manifest_extra):
+def _emit_csv(rows, args, command, settings, pool_size, **inputs):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = buf.getvalue()
     if args.out_dir:
-        out = _prepare_out_dir(args.out_dir, args.force)
-        _write_manifest(out, {"command": command, "version": __version__,
-                              "args": {k: v for k, v in vars(args).items()
-                                       if k != "func" and v is not None},
-                              **manifest_extra})
+        out = _write_manifest(args.out_dir, args.force, command, *settings, pool_size,
+                              **inputs)
         (out / f"{command}.csv").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
 
 def cmd_xeval(args):
-    rows = _matrix_rows(args.mechanisms.split(","), args.datasets.split(","), args)
-    _emit_csv(rows, args, "xeval", scoring=_scoring_record(training.USABLE_CORES))
+    """One row per mechanism, one test-accuracy column per dataset."""
+    settings = _settings(args)
+    paths, specs = args.datasets.split(","), args.mechanisms.split(",")
+    mechs = [_resolve_mechanism(spec) for spec in specs]
+    columns = _score([text for _, text in mechs], paths, *settings,
+                     pool_size=training.USABLE_CORES)
+    rows = [["mechanism"] + [Path(p).stem for p in paths]]
+    for (name, _), results in zip(mechs, zip(*columns)):
+        rows.append([name] + [_cell(r.test_accuracy) if r.ok else r.status for r in results])
+    _emit_csv(rows, args, "xeval", settings, training.USABLE_CORES,
+              datasets=paths, mechanisms=specs)
     return 0
 
 
 def cmd_bench(args):
-    train_cfg = _train_cfg(args)
-    graph = graphs.load_dataset(args.dataset)
-    split = _make_split(graph, SplitSpec(seed=train_cfg.seed).with_flag(args.split))
-    texts = [dsl.builtin(n) for n in builtin_names()]
-    results = training.evaluate_batch(texts, graph, split, train_cfg,
-                                      pool_size=args.pool_size)
+    settings = _settings(args)
+    (results,) = _score([dsl.builtin(n) for n in builtin_names()], [args.dataset],
+                        *settings, pool_size=args.pool_size)
     rows = [["mechanism", "status", "fitness", "test_accuracy"]]
     for name, res in zip(builtin_names(), results):
-        rows.append([name, res.status,
-                     _cell(res.fitness), _cell(res.test_accuracy)])
-    _emit_csv(rows, args, "bench", scoring=_scoring_record(args.pool_size))
+        rows.append([name, res.status, _cell(res.fitness), _cell(res.test_accuracy)])
+    _emit_csv(rows, args, "bench", settings, args.pool_size, dataset=args.dataset)
     return 0
 
 

@@ -13,7 +13,6 @@ import time
 from collections import namedtuple
 from multiprocessing import connection
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -260,32 +259,24 @@ def blas_threads():
 
     The symbol names follow numpy's build config: `scipy-openblas` built with
     USE64BITINT exports `scipy_openblas_{get,set}_num_threads64_`, plain
-    OpenBLAS `openblas_{get,set}_num_threads`. The library is looked up next to
-    numpy (where its wheels bundle it) and in the configured lib directory;
-    loading the file numpy already loaded returns numpy's own copy. MKL,
-    Accelerate, a numpy without `show_config(mode=...)` and any library or
-    symbol not found give None: both entry points or neither.
+    OpenBLAS `openblas_{get,set}_num_threads`. They are looked up through
+    numpy's linalg extension: `dlsym` on its handle also searches the
+    libraries it links, so it finds the OpenBLAS numpy loaded. MKL,
+    Accelerate, a numpy without `show_config(mode=...)` and any symbol not
+    found give None: both entry points or neither.
     """
-    numpy_dir = Path(np.__file__).parent
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         prefix = {"scipy-openblas": "scipy_openblas_", "openblas": "openblas_"}[blas["name"]]
         suffix = "64_" if "USE64BITINT" in blas["openblas configuration"] else ""
-        dirs = [numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs",
-                Path(blas["lib directory"])]
-    except (TypeError, KeyError):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get_num_threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+        set_num_threads = getattr(lib, f"{prefix}set_num_threads{suffix}")
+    except (TypeError, KeyError, OSError, AttributeError):
         return None
-    for path in (p for d in dirs if d.is_dir() for p in sorted(d.glob("*openblas*"))):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_num_threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
-            set_num_threads = getattr(lib, f"{prefix}set_num_threads{suffix}")
-        except (OSError, AttributeError):
-            continue
-        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
-        set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
-        return BlasThreads(get_num_threads, set_num_threads)
-    return None
+    get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+    set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+    return BlasThreads(get_num_threads, set_num_threads)
 
 
 def _set_blas_threads(blas, count):

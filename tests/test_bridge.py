@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -107,6 +108,8 @@ class TestReplayBackend:
         ('{"gen": 1, "op": "E2", "slot": 0}', "KeyError: 'text'"),
         ('{"gen": "one", "op": "E2", "slot": 0, "text": null}', "ValueError"),
         ("[1, 2]", "TypeError"),
+        ('{"gen": 1, "op": "E2", "slot": 0, "text": 5}', "TypeError"),
+        ('{"gen": 1, "op": "E2", "slot": 0, "text": ["a"]}', "TypeError"),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, line, cause):
         path = make_replay_file(tmp_path, full_replay_records(1, ops=("E1",), slots=1))
@@ -182,6 +185,26 @@ class TestLiveBackend:
         backend = LiveBackend(http_server, "test-model")
         bridge.complete([make_request("E1", 4)], 1, backend, generation=0)
         assert seen["auth"] == "Bearer secret-token"
+
+    def test_non_string_content_is_a_failed_call(self, http_server, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+
+        def list_content(handler):
+            handler.rfile.read(int(handler.headers["Content-Length"]))
+            handler.send_response(200)
+            handler.end_headers()
+            handler.wfile.write(json.dumps(
+                {"choices": [{"message": {"content": ["a"]}}]}).encode())
+        monkeypatch.setattr(_FlakyHandler, "do_POST", list_content)
+        backend = LiveBackend(http_server, "test-model")
+        (resp,) = bridge.complete([make_request("E1", 4)], 1, backend, generation=0)
+        assert resp.failed
+
+    def test_needs_no_requests_package(self, http_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)   # `import requests` fails
+        backend = LiveBackend(http_server, "test-model")
+        (resp,) = bridge.complete([make_request("E1", 4)], 1, backend, generation=0)
+        assert resp.text == wrap_response(dsl.builtin("gcn"))
 
 
 class TestParseResponse:

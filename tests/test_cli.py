@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and artifacts."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -411,6 +412,26 @@ class TestSearch:
         assert json.loads((out / "run_manifest.json").read_text())["split"] == {
             "ratios": [0.3, 0.3, 0.4], "stratified": True, "seed": 7, "from_file": False}
 
+    @pytest.mark.parametrize("flags, seed", [(["--seed", "3"], 3), ([], 5)])
+    def test_seed_flag_sets_every_seed(self, dataset, tmp_path, capsys, monkeypatch,
+                                       flags, seed):
+        def spy(graph, split, *args, **kwargs):
+            best = SimpleNamespace(fitness=0.5, id=0)
+            return SimpleNamespace(best=best, archive=[best])
+        monkeypatch.setattr(cli.search, "run_search", spy)
+        replay = make_replay_file(tmp_path, full_replay_records(1))
+        path = self.write_config(tmp_path, dataset, replay)
+        cfg = json.loads(path.read_text())
+        cfg["seed"] = 5
+        for section in ("split", "train", "search"):
+            cfg[section]["seed"] = 5
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["search", "--config", path, "--out-dir", out, *flags]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert [manifest["seed"], manifest["split"]["seed"], manifest["train"]["seed"],
+                manifest["search"]["seed"]] == [seed] * 4
+
     def test_readme_config_runs(self, tmp_path, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         cfg = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
@@ -497,6 +518,10 @@ class TestSearch:
          "config key 'backend' must name exactly one of replay and live"),
         ("split", {"ratios": [0.3, 0.2, 0.5], "seed": True},
          "'split.seed' must be an integer, got True"),
+        ("split", {"ratios": [0.3, 0.3]},
+         "split.ratios needs three fractions (train, val, test), got 2"),
+        ("split", {"ratios": [0.2, 0.2, 0.3, 0.3]},
+         "split.ratios needs three fractions (train, val, test), got 4"),
         ("backend", {"live": {"base_url": "http://localhost", "model": "m",
                               "temperature": float("nan")}},
          "'backend.live.temperature' must be a number, got nan"),
@@ -559,3 +584,42 @@ class TestBench:
     def test_pool_size_defaults_to_usable_cores(self, dataset):
         args = cli.build_parser().parse_args(["bench", "--dataset", str(dataset)])
         assert args.pool_size == len(os.sched_getaffinity(0))
+
+
+def crash_all(texts, *args, **kwargs):
+    return [training.FitResult("crash")] * len(texts)
+
+
+class TestScoringCommands:
+    @pytest.mark.parametrize("command", ["xeval", "bench"])
+    def test_manifest_records_applied_settings(self, dataset, tmp_path, capsys,
+                                               monkeypatch, command):
+        monkeypatch.setattr(training, "evaluate_batch", crash_all)
+        out = tmp_path / "run"
+        assert run([*split_argv(command, dataset), "--seed", "3", "--timeout-secs", "30",
+                    "--split", "30,20,50", "--out-dir", out]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        inputs = {"xeval": {"datasets": [str(dataset)], "mechanisms": ["gcn"]},
+                  "bench": {"dataset": str(dataset)}}[command]
+        assert manifest == {
+            "command": command, "version": cli.__version__,
+            "split": {"ratios": [0.3, 0.2, 0.5], "stratified": True, "seed": 3,
+                      "from_file": False},
+            "train": dataclasses.asdict(training.TrainConfig(seed=3, timeout_seconds=30)),
+            "scoring": {"pool_size": training.USABLE_CORES, "blas_pin": blas_pin(),
+                        "keep_freed_heap": keep_freed_heap()},
+            **inputs}
+
+    def test_commands_score_on_one_split(self, dataset, capsys, monkeypatch):
+        seen = []
+
+        def spy(texts, graph, split, cfg, **kwargs):
+            seen.append((split, cfg))
+            return crash_all(texts)
+        monkeypatch.setattr(training, "evaluate_batch", spy)
+        for command in ("eval", "xeval", "bench"):
+            run([*split_argv(command, dataset), "--seed", "4", "--split", "30,20,50"])
+        g = graphs.load_dataset(dataset)
+        split = graphs.make_split(g.num_nodes, (0.3, 0.2, 0.5), labels=g.labels, seed=4,
+                                  stratified=True)
+        assert seen == [(split, training.TrainConfig(seed=4))] * 3

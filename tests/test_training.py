@@ -504,6 +504,15 @@ class TestBlasPin:
         monkeypatch.setattr(np, "show_config", lambda mode: config)
         assert training.blas_threads.__wrapped__() is None
 
+    def test_resolver_finds_numpys_openblas(self):
+        try:
+            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy's build config names no BLAS")
+        if name not in ("openblas", "scipy-openblas"):
+            pytest.skip(f"numpy's BLAS is {name}")
+        assert training.blas_threads.__wrapped__() is not None
+
     def test_resolver_finds_nothing_on_old_numpy(self, monkeypatch):
         monkeypatch.setattr(np, "show_config", lambda: None)   # no `mode` argument
         assert training.blas_threads.__wrapped__() is None
