@@ -518,13 +518,13 @@ class TestSearch:
          "config key 'backend' must name exactly one of replay and live"),
         ("split", {"ratios": [0.3, 0.2, 0.5], "seed": True},
          "'split.seed' must be an integer, got True"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "temperature": float("nan")}},
+         "'backend.live.temperature' must be a number, got nan"),
         ("split", {"ratios": [0.3, 0.3]},
          "split.ratios needs three fractions (train, val, test), got 2"),
         ("split", {"ratios": [0.2, 0.2, 0.3, 0.3]},
          "split.ratios needs three fractions (train, val, test), got 4"),
-        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
-                              "temperature": float("nan")}},
-         "'backend.live.temperature' must be a number, got nan"),
     ])
     def test_malformed_config_section_is_usage_error(self, dataset, tmp_path, capsys,
                                                      key, value, message):
