@@ -10,6 +10,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .dsl.parser import K_MAX
 from .errors import MalformedResponse, SpecSearchError
 
 CLOSING_SENTENCE = "Do not give additional explanations."
@@ -18,7 +19,7 @@ GRAMMAR_SUMMARY = """\
 Write the propagation mechanism in this small DSL (not Python):
 
 mechanism <name> {
-  consts { K = <int, at most 16>; <name> = <number>; ... }        # optional
+  consts { K = <int, at most %d>; <name> = <number>; ... }        # optional
   params { <name>: scalar|vector(n)|vector(h)|matrix(h, h)[K]? = glorot|normal|const(<v>); ... }
   graph  { <name> = sym_norm(c=<w>)|rw_norm(c=<w>)|laplacian()|sym_laplacian()|scaled_laplacian()|pruned_norm(c=<w>); }
   init   { <var> = <expr>; ... }
@@ -44,7 +45,7 @@ triple-backtick fenced block):
       step { Z = (1 - alpha) * spmm(Ahat, Z) + alpha * X; }
       out { Y = Z; }
     }
-"""
+""" % K_MAX
 
 _OP_INSTRUCTIONS = {
     "E1": ("Design a new spectral GNN propagation mechanism that is completely "

@@ -154,9 +154,11 @@ def _resolve_mechanism(spec):
             f"nor an existing file")
 
 
-def _make_split(graph, spec):
-    """The split `spec` names. A missing stored split, bad fractions, a class too
-    small to stratify and a split no candidate can be scored on are usage errors."""
+def _load(path, spec):
+    """The dataset at `path` and the split `spec` names on it. A missing stored
+    split, bad fractions, a class too small to stratify and a split no candidate
+    can be scored on are usage errors."""
+    graph = graphs.load_dataset(path)
     if spec.from_file and graph.splits is None:
         raise UsageError("split: dataset file carries no splits")
     try:
@@ -166,14 +168,16 @@ def _make_split(graph, spec):
         training.check_split(split)
     except (ValueError, StratificationInfeasible) as exc:
         raise UsageError(f"split: {exc}") from None
-    return split
+    return graph, split
 
 
 def _write_manifest(out_dir, force, command, split_spec, train_cfg, pool_size, **inputs):
-    """The run directory `out_dir` (a non-empty one needs `force`), created with its
-    `run_manifest.json`: the command, the applied split and training settings,
-    `scoring` (the pool size, the symbol of the BLAS `set_num_threads` that pins
+    """The run directory `out_dir` (None without one; a non-empty one needs `force`),
+    created with `run_manifest.json`: the command, the applied split and training
+    settings, `scoring` (the pool size, the BLAS `set_num_threads` symbol that pins
     batches to one thread, whether workers keep freed heap), and the inputs."""
+    if out_dir is None:
+        return None
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise SpecSearchError(f"output directory {out} is not empty (use --force)")
@@ -209,11 +213,8 @@ def _settings(args, run=RunConfig()):
     return split_spec, train_cfg
 
 
-def _score(texts, dataset_paths, split_spec, train_cfg, pool_size):
-    """One result list per dataset for `texts`. Every dataset is loaded and split
-    before any worker starts; each is then scored as one batch."""
-    data = [(graph, _make_split(graph, split_spec))
-            for graph in map(graphs.load_dataset, dataset_paths)]
+def _score(texts, data, train_cfg, pool_size):
+    """One result list per (graph, split) of `data` for `texts`, each scored as one batch."""
     return [training.evaluate_batch(texts, graph, split, train_cfg, pool_size=pool_size)
             for graph, split in data]
 
@@ -244,8 +245,7 @@ def cmd_search(args):
         backend = _config(LiveBackend, backend_spec.live, "backend.live")
         backend_desc = {"live": dataclasses.asdict(backend)}
 
-    graph = graphs.load_dataset(run.dataset)
-    split = _make_split(graph, split_spec)
+    graph, split = _load(run.dataset, split_spec)
     out = _write_manifest(run.out_dir, args.force, "search", split_spec, train_cfg,
                           search_cfg.pool_size, dataset=run.dataset, seed=run.seed,
                           backend=backend_desc, search=dataclasses.asdict(search_cfg))
@@ -258,9 +258,9 @@ def cmd_search(args):
 
 
 def cmd_eval(args):
-    settings = _settings(args)
+    split_spec, train_cfg = _settings(args)
     _, text = _resolve_mechanism(args.mechanism)
-    ((res,),) = _score([text], [args.dataset], *settings, pool_size=1)
+    ((res,),) = _score([text], [_load(args.dataset, split_spec)], train_cfg, pool_size=1)
     if not res.ok:
         print(json.dumps({"status": res.status}))
         return 2
@@ -268,40 +268,43 @@ def cmd_eval(args):
     return 0
 
 
-def _emit_csv(rows, args, command, settings, pool_size, **inputs):
+def _emit_csv(rows, out, command):
+    """Print `rows` as CSV; write them to `command`.csv in the run directory `out`, if any."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = buf.getvalue()
-    if args.out_dir:
-        out = _write_manifest(args.out_dir, args.force, command, *settings, pool_size,
-                              **inputs)
+    if out is not None:
         (out / f"{command}.csv").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
 
 
 def cmd_xeval(args):
     """One row per mechanism, one test-accuracy column per dataset."""
-    settings = _settings(args)
+    split_spec, train_cfg = _settings(args)
     paths, specs = args.datasets.split(","), args.mechanisms.split(",")
     mechs = [_resolve_mechanism(spec) for spec in specs]
-    columns = _score([text for _, text in mechs], paths, *settings,
-                     pool_size=training.USABLE_CORES)
+    data = [_load(p, split_spec) for p in paths]
+    out = _write_manifest(args.out_dir, args.force, "xeval", split_spec, train_cfg,
+                          training.USABLE_CORES, datasets=paths, mechanisms=specs)
+    columns = _score([text for _, text in mechs], data, train_cfg, training.USABLE_CORES)
     rows = [["mechanism"] + [Path(p).stem for p in paths]]
     for (name, _), results in zip(mechs, zip(*columns)):
         rows.append([name] + [_cell(r.test_accuracy) if r.ok else r.status for r in results])
-    _emit_csv(rows, args, "xeval", settings, training.USABLE_CORES,
-              datasets=paths, mechanisms=specs)
+    _emit_csv(rows, out, "xeval")
     return 0
 
 
 def cmd_bench(args):
-    settings = _settings(args)
-    (results,) = _score([dsl.builtin(n) for n in builtin_names()], [args.dataset],
-                        *settings, pool_size=args.pool_size)
+    split_spec, train_cfg = _settings(args)
+    data = [_load(args.dataset, split_spec)]
+    out = _write_manifest(args.out_dir, args.force, "bench", split_spec, train_cfg,
+                          args.pool_size, dataset=args.dataset)
+    (results,) = _score([dsl.builtin(n) for n in builtin_names()], data, train_cfg,
+                        args.pool_size)
     rows = [["mechanism", "status", "fitness", "test_accuracy"]]
     for name, res in zip(builtin_names(), results):
         rows.append([name, res.status, _cell(res.fitness), _cell(res.test_accuracy)])
-    _emit_csv(rows, args, "bench", settings, args.pool_size, dataset=args.dataset)
+    _emit_csv(rows, out, "bench")
     return 0
 
 

@@ -229,12 +229,6 @@ mechanism cornell_attn_mix {
 
 SEED_NAMES = ("gcn", "appnp", "gpr", "fagcn-lite")
 
-SEARCHED_NAMES = ("cora-appnp-residual", "citeseer-att-residual",
-                  "pubmed-pruned-residual", "computer-gpr2",
-                  "photo-scaled-residual", "chameleon-gated",
-                  "squirrel-att-stack", "texas-powersum-att",
-                  "cornell-attn-mix")
-
 
 def builtin_names():
     return tuple(_CORPUS)

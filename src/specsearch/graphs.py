@@ -81,17 +81,32 @@ class Graph:
         canon, counts = _canonical_edges(edges, num_nodes)
         if len(canon) < len(edges):
             raise ValueError(f"duplicate undirected edge: {canon[counts > 1][0].tolist()}")
-        canon.setflags(write=False)
+        for x in (canon, features, labels):
+            x.setflags(write=False)
         self.num_nodes = int(num_nodes)
         self.num_classes = int(num_classes)
         self.num_features = int(features.shape[1])
         self.edges = canon
         self.features = features
-        self.features.setflags(write=False)
         self.labels = labels
-        self.labels.setflags(write=False)
         self.name = name
         self.splits = splits
+
+    @functools.cached_property
+    def pattern(self):
+        """The read-only CSR pattern of A + I that every operator weights, built on
+        first use: (indices, indptr) in scipy's CSR index dtype, then the position
+        of each (i, i) entry and each node's degree."""
+        n = self.num_nodes
+        u, v = self.edges.T
+        loops = np.arange(n)
+        a = sp.csr_matrix((np.ones(2 * u.size + n), (np.r_[u, v, loops], np.r_[v, u, loops])),
+                          (n, n))
+        degree = np.diff(a.indptr) - 1
+        diag = np.flatnonzero(a.indices == np.repeat(loops, degree + 1))
+        for x in (a.indices, a.indptr, diag, degree):
+            x.setflags(write=False)
+        return a.indices, a.indptr, diag, degree
 
     def __repr__(self):
         return (f"Graph({self.name!r}, n={self.num_nodes}, f={self.num_features}, "
@@ -128,61 +143,42 @@ class SparseOp:
         return self.csr.toarray()
 
 
-def _coo_with_loops(graph, c):
-    """Coordinates and weights of A + cI, and its row sums (degrees + c).
-
-    Both directions of every edge come first, then the diagonal when c > 0;
-    prune_mean_std's mean, std and sum round in this order.
-    """
-    n = graph.num_nodes
-    u, v = graph.edges.T
-    row, col = np.concatenate([u, v]), np.concatenate([v, u])
-    val = np.ones(row.size)
-    if c > 0:
-        diag = np.arange(n)
-        row, col = np.concatenate([row, diag]), np.concatenate([col, diag])
-        val = np.concatenate([val, np.full(n, float(c))])
-    # bincount of an empty array is integer-typed
-    return row, col, val, np.bincount(row, weights=val, minlength=n).astype(np.float64)
-
-
 def _inverse(d):
     """1 / d where d > 0, else 0."""
     return np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
 
 
 def build_operator(graph, variant, dtype=np.float64):
-    """Materialize the n x n operator named by `variant` for `graph`.
-
-    Weights are computed in float64 and cast once to `dtype`.
-    """
-    n = graph.num_nodes
-    c = variant.self_loop_weight
-    kind = variant.kind
+    """The n x n operator `variant` names for `graph`: one float64 weight per entry
+    of A + I (`graph.pattern`), cast once to `dtype`; a zero weight is not stored."""
+    c, kind = variant.self_loop_weight, variant.kind
+    indices, indptr, diag, degree = graph.pattern
+    w = np.ones(indices.size)
+    w[diag] = c
     if kind is Variant.PRUNED_NORM:
-        return prune_mean_std(graph, c, dtype)
-    if kind is Variant.COMBINATORIAL:
+        # see prune_mean_std; the mean, std and sum round in this order: both
+        # directions of every edge, then the diagonal when c > 0
+        val = np.r_[np.ones(2 * len(graph.edges)), np.full(graph.num_nodes * (c > 0), c)]
+        if val.size:
+            w = np.where(w >= val.mean() - val.std(), w, 0.0) / (val.sum() + 1e-10)
+    elif kind is Variant.COMBINATORIAL:
         # D - A: the self-loop weight cancels
-        row, col, val, deg = _coo_with_loops(graph, 0.0)
-        return SparseOp(sp.diags(deg) - sp.csr_matrix((val, (row, col)), (n, n)), dtype)
-    row, col, val, deg = _coo_with_loops(graph, c)
-    if kind is Variant.ADJ_RW_NORM:
-        return SparseOp(sp.coo_matrix((val * _inverse(deg)[row], (row, col)), (n, n)), dtype)
-    inv_sqrt = _inverse(np.sqrt(deg))
-    norm = val * inv_sqrt[row] * inv_sqrt[col]
-    if kind is Variant.ADJ_SYM_NORM:
-        return SparseOp(sp.coo_matrix((norm, (row, col)), (n, n)), dtype)
-    eye = sp.identity(n, format="csr")
-    lap = eye - sp.csr_matrix((norm, (row, col)), (n, n))
-    if kind is Variant.SYM_LAPLACIAN:
-        return SparseOp(lap, dtype)
-    if kind is Variant.SCALED_LAPLACIAN:
-        # 2L/λmax − I with λmax = 2, the bound on the spectrum of L (Kipf & Welling)
-        return SparseOp(lap - eye, dtype)
-    raise ValueError(f"unhandled variant {kind}")
-
-
-_PRUNE_EPSILON = 1e-10
+        w = -w
+        w[diag] = degree
+    elif kind is Variant.ADJ_RW_NORM:
+        # np.repeat(x, degree + 1) is x[row] for every entry
+        w = w * np.repeat(_inverse(degree + c), degree + 1)
+    else:
+        inv_sqrt = _inverse(np.sqrt(degree + c))
+        w = w * np.repeat(inv_sqrt, degree + 1) * inv_sqrt[indices]
+        if kind is not Variant.ADJ_SYM_NORM:
+            w = -w
+            w[diag] += 1.0          # I - N, the normalized Laplacian L
+        if kind is Variant.SCALED_LAPLACIAN:
+            # 2L/λmax − I with λmax = 2, the bound on the spectrum of L (Kipf & Welling)
+            w[diag] -= 1.0
+    n = graph.num_nodes
+    return SparseOp(sp.csr_matrix((w, indices, indptr), (n, n)), dtype)
 
 
 def prune_mean_std(graph, self_loop_weight, dtype=np.float64):
@@ -191,13 +187,7 @@ def prune_mean_std(graph, self_loop_weight, dtype=np.float64):
     Entries below the threshold are dropped; survivors are divided by
     (sum of all nonzero entries of A + cI) + 1e-10.
     """
-    n = graph.num_nodes
-    row, col, val, _ = _coo_with_loops(graph, float(self_loop_weight))
-    if not val.size:
-        return SparseOp(sp.csr_matrix((n, n)), dtype)
-    keep = val >= val.mean() - val.std()
-    kept = val[keep] / (val.sum() + _PRUNE_EPSILON)
-    return SparseOp(sp.coo_matrix((kept, (row[keep], col[keep])), (n, n)), dtype)
+    return build_operator(graph, LaplacianVariant(Variant.PRUNED_NORM, self_loop_weight), dtype)
 
 
 @dataclass(frozen=True)
@@ -383,6 +373,10 @@ def load_dataset(path):
         edges = None
     if edges is None or edges.dtype.kind not in "iu" or edges.shape[1:] != (2,):
         raise DatasetFormatError("edges: expected a list of [u, v] integer pairs")
+    # np.array reads a bool among integers as 0 or 1, so only such rows can hold one
+    for i in np.flatnonzero(edges.ravel() <= 1) // 2:
+        if bool in map(type, doc["edges"][i]):
+            raise DatasetFormatError(f"edges[{i}]: expected integer endpoints, got a bool")
     bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
     if bad.size:
         raise DatasetFormatError(f"edges[{bad[0]}]: endpoint out of range for {n} nodes")

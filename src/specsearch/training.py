@@ -359,6 +359,7 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
                                    wall_seconds=time.monotonic() - start)
     if not jobs:
         return results
+    graph.pattern               # built once here, so every forked worker inherits it
     blas = blas_threads()
     parent_threads = blas.get_num_threads() if blas is not None else None
     try:

@@ -12,7 +12,7 @@ import pytest
 from specsearch import bridge, dsl, graphs
 from specsearch.bridge import (CLOSING_SENTENCE, LiveBackend, LlmResponse,
                                PromptRequest, ReplayBackend)
-from specsearch.dsl.parser import CALLS, GRAPH_CTORS
+from specsearch.dsl.parser import CALLS, GRAPH_CTORS, K_MAX
 from specsearch.errors import MalformedResponse, SpecSearchError
 
 from conftest import full_replay_records, make_replay_file, wrap_response
@@ -73,6 +73,9 @@ class TestRenderPrompt:
     @pytest.mark.parametrize("name", sorted(CALLS) + sorted(GRAPH_CTORS))
     def test_grammar_summary_names_the_vocabulary(self, name):
         assert re.search(rf"\b{name}\(", bridge.GRAMMAR_SUMMARY)
+
+    def test_grammar_summary_states_the_k_cap(self):
+        assert f"K = <int, at most {K_MAX}>" in bridge.GRAMMAR_SUMMARY
 
     def test_invalid_op_kind(self):
         with pytest.raises(ValueError):

@@ -610,6 +610,20 @@ class TestScoringCommands:
                         "keep_freed_heap": keep_freed_heap()},
             **inputs}
 
+    @pytest.mark.parametrize("command", ["xeval", "bench"])
+    def test_occupied_out_dir_is_refused_before_scoring(self, dataset, tmp_path, capsys,
+                                                        monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("evaluate_batch called")
+        monkeypatch.setattr(training, "evaluate_batch", never)
+        out = tmp_path / "occupied"
+        out.mkdir()
+        (out / "keep.txt").write_text("precious")
+        assert run([*split_argv(command, dataset), "--split", "30,20,50",
+                    "--out-dir", out]) == 2
+        assert "force" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
     def test_commands_score_on_one_split(self, dataset, capsys, monkeypatch):
         seen = []
 

@@ -132,16 +132,15 @@ class TestOperatorFormulas:
     GRAPH = graphs.Graph(6, 2, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
                          np.zeros((6, 2)), [0, 1, 0, 1, 0, 1])
 
-    @pytest.mark.parametrize("c", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.0, 2.5])
     @pytest.mark.parametrize("kind", list(Variant))
     def test_matches_dense_formula(self, kind, c):
-        m = graphs.build_operator(self.GRAPH, LaplacianVariant(kind, c)).to_dense()
-        ref = dense_reference(self.GRAPH, kind, c)
-        assert np.array_equal(m != 0, ref != 0)
-        assert np.abs(m - ref).max() < 1e-12
-        if kind is Variant.SCALED_LAPLACIAN:
-            # λmax = 2 is a bound, so the scaled spectrum stays inside [-1, 1]
-            assert np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12
+        for graph in [self.GRAPH] + [random_graph(40, 0.3, seed) for seed in range(5)]:
+            m = graphs.build_operator(graph, LaplacianVariant(kind, c)).to_dense()
+            assert np.array_equal(m, dense_reference(graph, kind, c))
+            if kind is Variant.SCALED_LAPLACIAN:
+                # λmax = 2 is a bound, so the scaled spectrum stays inside [-1, 1]
+                assert np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("c", [0.0, 1.0, 2.5])
     @pytest.mark.parametrize("kind", list(Variant))
@@ -153,6 +152,21 @@ class TestOperatorFormulas:
         assert np.array_equal(f32.indptr, f64.indptr)
         assert np.array_equal(f32.indices, f64.indices)
         assert np.array_equal(f32.data, f64.data.astype(np.float32))
+
+
+class TestPattern:
+    def test_pattern_of_a_plus_i(self):
+        g = TestOperatorFormulas.GRAPH
+        indices, indptr, diag, degree = g.pattern
+        ref = sp.csr_matrix(dense_reference(g, Variant.ADJ_RW_NORM, 1.0))
+        assert np.array_equal(indptr, ref.indptr) and indptr.dtype == ref.indptr.dtype
+        assert np.array_equal(indices, ref.indices) and indices.dtype == ref.indices.dtype
+        assert indices[diag].tolist() == list(range(6))
+        assert degree.tolist() == [2, 2, 3, 2, 1, 0]
+        assert g.pattern[0] is indices
+        for a in g.pattern:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestSparseOp:
@@ -350,7 +364,7 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("edges", [
         [[0, 1.5]], [[0, "1"]], [[0, 1, 2]], [[0]], [0, 1], [[0, None]],
-        [[0, 1], [2]],
+        [[0, 1], [2]], [[0, True]], [[True, 1], [1, 2]],
     ])
     def test_rejects_malformed_edge_entries(self, tmp_path, edges):
         path = tmp_path / "bad.json"

@@ -339,6 +339,16 @@ class TestFrontEnd:
         assert [r.fitness for r in res[1::2]] == [
             len(training.lower(t, sep_graph, cfg).ops) for t in texts[1::2]]
 
+    def test_workers_inherit_the_graph_pattern(self, sep_graph, sep_split, monkeypatch):
+        monkeypatch.setattr(training, "_score_impl", lambda typed, graph, *args:
+                            training.FitResult("ok", fitness="pattern" in vars(graph)))
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        graph = graphs.Graph(sep_graph.num_nodes, sep_graph.num_classes, sep_graph.edges,
+                             sep_graph.features, sep_graph.labels)
+        res = training.evaluate_batch([dsl.builtin("gcn")] * 2, graph, sep_split, cfg,
+                                      pool_size=2)
+        assert [r.fitness for r in res] == [True, True]
+
     @pytest.mark.parametrize("exc, reason", [
         (DslSyntaxError("x"), "parse"), (ShapeMismatch("x"), "shape"),
         (UndeclaredIdentifier("x"), "shape"), (CompileError("x"), "compile"),
