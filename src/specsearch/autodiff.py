@@ -6,6 +6,12 @@ number) and do not re-check shape rules that the DSL front end
 (`dsl.check_shapes`) has proved: where the two disagree, numpy or scipy raises.
 Sparse operators (graphs.SparseOp) appear only as the left factor of spmm and the
 structure argument of edge_attn_agg; no gradient flows into their weights.
+
+The tape records only where a gradient flows: an op's output requires a
+gradient if and only if one of its inputs does, and an output that requires
+none keeps no parents and no VJP. A VJP computes the gradients of the inputs
+that require one and gives None for the others. `backward` spends the tape as
+it sweeps it, so a tape can be swept once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ from .errors import NumericalError, ShapeMismatch
 class Tensor:
     """A value on the tape. `vjp(g)` maps the gradient of `data` to one gradient
     per parent, in `parents` order, each of the parent's shape or of a shape
-    that broadcasts from it; `backward` alone reduces and sums them into `.grad`."""
+    that broadcasts from it, or None for a parent that requires no gradient;
+    `backward` alone reduces and sums them into `.grad`.
+
+    A leaf requires a gradient when it is made with `requires_grad=True`; an op's
+    output does when one of its parents does. An output that requires none
+    records nothing: it keeps no parents and no VJP.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "vjp")
 
@@ -26,9 +38,9 @@ class Tensor:
             raise NumericalError("non-finite value in forward computation")
         self.data = data
         self.grad = None
-        self.requires_grad = requires_grad
-        self.parents = parents
-        self.vjp = vjp
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.parents = parents if self.requires_grad else ()
+        self.vjp = vjp if self.requires_grad else None
 
     @property
     def shape(self):
@@ -55,19 +67,23 @@ def add(a, b):
 
 
 def sub(a, b):
-    return Tensor(a.data - b.data, parents=(a, b), vjp=lambda g: (g, -g))
+    return Tensor(a.data - b.data, parents=(a, b),
+                  vjp=lambda g: (g if a.requires_grad else None,
+                                 -g if b.requires_grad else None))
 
 
 def mul(a, b):
     return Tensor(a.data * b.data, parents=(a, b),
-                  vjp=lambda g: (g * b.data, g * a.data))
+                  vjp=lambda g: (g * b.data if a.requires_grad else None,
+                                 g * a.data if b.requires_grad else None))
 
 
 def div(a, b):
     if np.any(b.data == 0.0):
         raise NumericalError("division by zero")
     return Tensor(a.data / b.data, parents=(a, b),
-                  vjp=lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
+                  vjp=lambda g: (g / b.data if a.requires_grad else None,
+                                 -g * a.data / (b.data * b.data) if b.requires_grad else None))
 
 
 def neg(a):
@@ -76,7 +92,8 @@ def neg(a):
 
 def matmul(a, b):
     return Tensor(a.data @ b.data, parents=(a, b),
-                  vjp=lambda g: (g @ b.data.T, a.data.T @ g))
+                  vjp=lambda g: (g @ b.data.T if a.requires_grad else None,
+                                 a.data.T @ g if b.requires_grad else None))
 
 
 def spmm(op, x):
@@ -216,27 +233,35 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
     np.add.at(y, r, alpha[:, None] * x.data[c])
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, c, alpha[:, None] * g[r])
-        dalpha = (g[r] * x.data[c]).sum(axis=1)
-        srow = np.bincount(r, weights=alpha * dalpha, minlength=n).astype(dtype)
-        de = alpha * (dalpha - srow[r]) * dlrelu
-        gs = np.zeros_like(scores_src.data)
-        np.add.at(gs[:, 0], r, de)
-        gd = np.zeros_like(scores_dst.data)
-        np.add.at(gd[:, 0], c, de)
+        gs = gd = gx = None
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, c, alpha[:, None] * g[r])
+        if scores_src.requires_grad or scores_dst.requires_grad:
+            dalpha = (g[r] * x.data[c]).sum(axis=1)
+            srow = np.bincount(r, weights=alpha * dalpha, minlength=n).astype(dtype)
+            de = alpha * (dalpha - srow[r]) * dlrelu
+            if scores_src.requires_grad:
+                gs = np.zeros_like(scores_src.data)
+                np.add.at(gs[:, 0], r, de)
+            if scores_dst.requires_grad:
+                gd = np.zeros_like(scores_dst.data)
+                np.add.at(gd[:, 0], c, de)
         return gs, gd, gx
     return Tensor(y, parents=(scores_src, scores_dst, x), vjp=vjp)
 
 
 def backward(loss):
-    """Reverse-mode sweep from a scalar loss; fills .grad on reachable leaves.
+    """Reverse-mode sweep from a scalar loss; fills .grad on the leaves that
+    require a gradient.
 
     The one place gradients are summed: each node's `vjp` output is reduced to
     its parent's shape and added to the parent's gradient, never in place (one
-    array may be handed to several parents, as `add` does). Interior nodes
-    (tensors with parents) drop their gradient once it has been passed on, so
-    the sweep holds only the gradients still to be propagated.
+    array may be handed to several parents, as `add` does). Parents that require
+    no gradient get none. Nodes leave the reverse-DFS order one at a time, and
+    an interior node (a tensor with parents) drops its gradient, parents and VJP
+    once its VJP has run, so the activations it held are freed during the sweep.
+    The tape is then spent: a second sweep from the same loss reaches no leaf.
     """
     if loss.shape != (1, 1):
         raise ShapeMismatch(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -256,17 +281,18 @@ def backward(loss):
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node.vjp is not None and node.grad is not None:
             g = node.grad
             if not np.all(np.isfinite(g)):
                 raise NumericalError("non-finite gradient")
             for p, gp in zip(node.parents, node.vjp(g)):
-                if p.requires_grad or p.parents:
+                if p.requires_grad:     # a VJP gives None for the others
                     gp = _reduce_broadcast(gp, p.shape)
                     p.grad = gp if p.grad is None else p.grad + gp
         if node.parents:        # spent: only leaves keep their gradient
-            node.grad = None
+            node.grad, node.parents, node.vjp = None, (), None
 
 
 # -- parameters and optimizer --------------------------------------------------

@@ -30,6 +30,10 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 K_MAX = 16
+# An integer parameter dimension sizes an allocation in the worker, so it is
+# capped as K is, above the 16384 rows of the oversized program that the
+# timeout tests score.
+DIM_MAX = 65_536
 # Bounds on hostile input. Parsing recurses once per bracket, and printing,
 # checking and compiling once per level of an expression tree, so both depths
 # are capped well below Python's recursion limit.
@@ -208,7 +212,7 @@ class _Parser:
             if it.text == "K":
                 array = "K"
             elif it.text.isdigit():
-                array = int(it.text)
+                array = _int_at_most(it.text, K_MAX)
             else:
                 self.fail(f"array bound must be K or an integer, found {it.text!r}", it)
             self.expect("]")
@@ -221,7 +225,10 @@ class _Parser:
         if t.kind == "ident" and t.text in ("n", "f", "h", "c"):
             return t.text
         if t.text.isdigit():
-            return int(t.text)
+            d = _int_at_most(t.text, DIM_MAX)
+            if d > DIM_MAX:
+                self.fail(f"integer dimension exceeds the cap of {DIM_MAX}", t)
+            return d
         self.fail(f"expected dimension n/f/h/c or integer, found {t.text!r}", t)
 
     def init_spec(self):
@@ -387,6 +394,12 @@ class _Parser:
             # applies, so an integer bound is capped as K is.
             if isinstance(p.array, int) and not 1 <= p.array <= K_MAX:
                 self.fail(f"array bound of {p.name!r} must be in 1..{K_MAX}")
+
+
+def _int_at_most(digits, cap):
+    """The value of a digit string, or cap + 1 for any value above cap; int()
+    refuses a string of more than 4300 digits."""
+    return int(digits) if len(digits.lstrip("0")) <= len(str(cap)) else cap + 1
 
 
 def _tree_depth(e):

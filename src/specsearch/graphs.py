@@ -81,6 +81,9 @@ class Graph:
         canon, counts = _canonical_edges(edges, num_nodes)
         if len(canon) < len(edges):
             raise ValueError(f"duplicate undirected edge: {canon[counts > 1][0].tolist()}")
+        # Frozen copies leave the caller's arrays writeable; made after the edge
+        # checks, so they do not raise the peak memory of loading a dataset.
+        features, labels = features.copy(), labels.copy()
         for x in (canon, features, labels):
             x.setflags(write=False)
         self.num_nodes = int(num_nodes)
@@ -116,21 +119,14 @@ class Graph:
 class SparseOp:
     """An n x m operator held as one scipy CSR matrix, `csr`, in canonical form:
     column indices sorted within each row, no duplicate coordinates, no stored
-    zeros, finite weights.
+    zeros, finite weights. The constructor takes such a matrix as it is
+    (`build_operator` makes them) and copies nothing.
 
-    The constructor takes any scipy sparse matrix (duplicates are summed, zeros
-    dropped), casts its weights once to `dtype` and rejects a non-finite one.
     `coords` are the (row, col) int64 arrays of the stored entries in CSR order,
     built on first use.
     """
 
-    def __init__(self, matrix, dtype=np.float64):
-        csr = matrix.tocsr(copy=True)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr = csr.astype(dtype, copy=False)
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("non-finite weight in sparse operator")
+    def __init__(self, csr):
         self.csr = csr
         self.rows, self.cols = csr.shape
 
@@ -150,7 +146,11 @@ def _inverse(d):
 
 def build_operator(graph, variant, dtype=np.float64):
     """The n x n operator `variant` names for `graph`: one float64 weight per entry
-    of A + I (`graph.pattern`), cast once to `dtype`; a zero weight is not stored."""
+    of A + I (`graph.pattern`), cast once to `dtype`; a zero weight is not stored.
+
+    Without zero weights the operator shares the graph's read-only pattern
+    arrays; with some, it holds a compacted copy. A weight that is not finite in
+    `dtype` is a ValueError."""
     c, kind = variant.self_loop_weight, variant.kind
     indices, indptr, diag, degree = graph.pattern
     w = np.ones(indices.size)
@@ -163,22 +163,30 @@ def build_operator(graph, variant, dtype=np.float64):
             w = np.where(w >= val.mean() - val.std(), w, 0.0) / (val.sum() + 1e-10)
     elif kind is Variant.COMBINATORIAL:
         # D - A: the self-loop weight cancels
-        w = -w
+        np.negative(w, out=w)
         w[diag] = degree
     elif kind is Variant.ADJ_RW_NORM:
         # np.repeat(x, degree + 1) is x[row] for every entry
-        w = w * np.repeat(_inverse(degree + c), degree + 1)
+        w *= np.repeat(_inverse(degree + c), degree + 1)
     else:
         inv_sqrt = _inverse(np.sqrt(degree + c))
-        w = w * np.repeat(inv_sqrt, degree + 1) * inv_sqrt[indices]
+        w *= np.repeat(inv_sqrt, degree + 1)
+        w *= inv_sqrt[indices]
         if kind is not Variant.ADJ_SYM_NORM:
-            w = -w
+            np.negative(w, out=w)
             w[diag] += 1.0          # I - N, the normalized Laplacian L
         if kind is Variant.SCALED_LAPLACIAN:
             # 2L/λmax − I with λmax = 2, the bound on the spectrum of L (Kipf & Welling)
             w[diag] -= 1.0
+    keep = w != 0
+    if not keep.all():
+        w, indices = w[keep], indices[keep]
+        indptr = np.r_[0, np.cumsum(keep)][indptr].astype(indptr.dtype)
+    w = w.astype(dtype, copy=False)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite weight in sparse operator")
     n = graph.num_nodes
-    return SparseOp(sp.csr_matrix((w, indices, indptr), (n, n)), dtype)
+    return SparseOp(sp.csr_matrix((w, indices, indptr), (n, n)))
 
 
 def prune_mean_std(graph, self_loop_weight, dtype=np.float64):

@@ -1,5 +1,7 @@
 """Autodiff forward semantics, gradient correctness, and the Adam optimizer."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,7 @@ from conftest import check_gradients
 
 
 def sparse_from_dense(m):
-    return graphs.SparseOp(sp.coo_matrix(m))
+    return graphs.SparseOp(sp.csr_matrix(m))
 
 
 class TestForward:
@@ -124,6 +126,111 @@ class TestBackwardBasics:
         ad.backward(loss)
         assert x.grad is not None and w.grad is not None
         assert xw.grad is None and h.grad is None and loss.grad is None
+
+
+class NoTranspose(np.ndarray):
+    """An array whose transpose must not be taken."""
+
+    @property
+    def T(self):
+        raise AssertionError("transpose taken")
+
+
+class TestRecordingRule:
+    """An op's output requires a gradient iff one of its inputs does; only then
+    is it recorded, and a VJP computes only the gradients its inputs need."""
+
+    OPS = {
+        "add": lambda a, b: ad.add(a, b),
+        "sub": lambda a, b: ad.sub(a, b),
+        "mul": lambda a, b: ad.mul(a, b),
+        "div": lambda a, b: ad.div(a, b),
+        "matmul": lambda a, b: ad.matmul(a, b),
+        "concat_cols": lambda a, b: ad.concat_cols(a, b),
+        "tanh": lambda a, b: ad.tanh(a),
+        "dropout": lambda a, b: ad.dropout(a, 0.5, np.random.default_rng(0)),
+        "spmm": lambda a, b: ad.spmm(sparse_from_dense(np.eye(3)), a),
+        "edge_attn_agg": lambda a, b: ad.edge_attn_agg(
+            sparse_from_dense(np.ones((3, 3))), ad.sum_rows(a), ad.sum_rows(b), a),
+    }
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_inputs_without_gradient_record_nothing(self, name):
+        a, b = (ad.Tensor(np.full((3, 3), v)) for v in (1.0, 2.0))
+        out = self.OPS[name](a, b)
+        assert not out.requires_grad
+        assert out.parents == () and out.vjp is None
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_an_input_with_gradient_records(self, name):
+        a = ad.Tensor(np.full((3, 3), 1.0), requires_grad=True)
+        out = self.OPS[name](a, ad.Tensor(np.full((3, 3), 2.0)))
+        assert out.requires_grad and out.parents and out.vjp is not None
+
+    @pytest.mark.parametrize("op", [ad.sub, ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("needs", [(True, False), (False, True)])
+    def test_vjp_gives_none_for_an_input_without_gradient(self, op, needs):
+        a, b = (ad.Tensor(np.full((2, 2), v), requires_grad=r)
+                for v, r in zip((1.0, 2.0), needs))
+        grads = op(a, b).vjp(np.ones((2, 2)))
+        assert [g is not None for g in grads] == list(needs)
+
+    def test_attention_vjp_skips_unneeded_gradients(self):
+        op = sparse_from_dense(np.ones((3, 3)))
+        s = ad.Tensor(np.zeros((3, 1)), requires_grad=True)
+        out = ad.edge_attn_agg(op, s, ad.Tensor(np.zeros((3, 1))), ad.Tensor(np.ones((3, 2))))
+        gs, gd, gx = out.vjp(np.ones((3, 2)))
+        assert gs.shape == (3, 1) and gd is None and gx is None
+
+    def test_matmul_skips_the_feature_side_product(self):
+        # x needs no gradient, so g @ W.T must not be computed
+        x = ad.Tensor(np.arange(6.0).reshape(2, 3))
+        w = ad.Tensor(np.ones((3, 4)).view(NoTranspose), requires_grad=True)
+        ad.backward(ad.sum_all(ad.matmul(x, w)))
+        assert x.grad is None
+        assert np.array_equal(w.grad, x.data.T @ np.ones((2, 4)))
+
+    def test_gradient_off_every_parameter_path_is_not_computed(self):
+        # d(a / c)/dc overflows at c = 1e-320, but no parameter lies behind a or c
+        k = ad.Tensor(np.array([[1e-160]]))
+        c = ad.mul(k, k)
+        w = ad.Tensor(np.zeros((1, 1)), requires_grad=True)
+        loss = ad.sum_all(ad.add(w, ad.div(ad.Tensor(np.array([[1e-300]])), c)))
+        with np.errstate(all="raise"):
+            ad.backward(loss)
+        assert np.array_equal(w.grad, [[1.0]]) and c.grad is None
+
+    def test_sweep_spends_the_tape(self):
+        x = ad.Tensor(np.ones((3, 2)))
+        w = ad.Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        xw = ad.matmul(x, w)
+        h = ad.tanh(xw)
+        loss = ad.sum_all(h)
+        ad.backward(loss)
+        for t in (xw, h, loss):
+            assert t.parents == () and t.vjp is None and t.grad is None
+        assert x.grad is None
+        grad = w.grad
+        assert grad is not None
+        # a swept tape reaches no leaf a second time
+        w.grad = None
+        ad.backward(loss)
+        assert w.grad is None
+        assert np.array_equal(grad, np.full((2, 2), 3.0) * (1 - np.tanh(1.0) ** 2))
+
+    def test_sweep_frees_each_node_once_its_vjp_has_run(self):
+        w = ad.Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        a = ad.tanh(w)
+        b = ad.tanh(a)
+        loss = ad.sum_all(b)
+        freed = weakref.ref(b.data)     # held by b and by b's VJP
+        del b
+        seen = []
+        vjp = a.vjp
+        a.vjp = lambda g: (seen.append(freed() is None), vjp(g))[1]
+        ad.backward(loss)
+        assert seen == [True]       # b's activation was gone before a's VJP ran
+        assert w.grad is not None
 
 
 class TestGradientSuite:

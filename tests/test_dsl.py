@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from specsearch import autodiff as ad
 from specsearch import dsl, graphs, search, training
 from specsearch.dsl.corpus import SEED_NAMES
-from specsearch.dsl.parser import KEYWORDS, MAX_DEPTH, MAX_TEXT_CHARS
+from specsearch.dsl.parser import DIM_MAX, KEYWORDS, MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.dsl import nodes
 from specsearch.errors import (CompileError, DslSyntaxError, ShapeMismatch,
                                UndeclaredIdentifier, UnknownBuiltin)
@@ -68,12 +68,23 @@ class TestParser:
                       " step { Z = Z; } out { Y = Z; } }")
 
     def test_array_bound_capped(self):
-        text = ("mechanism m { params { W: scalar[%d] = normal; } init { Z = X * W[1]; }"
+        text = ("mechanism m { params { W: scalar[%s] = normal; } init { Z = X * W[1]; }"
                 " out { Y = Z; } }")
         assert dsl.parse(text % 16).params[0].array == 16
-        for bound in (0, 17, 10**9):
+        for bound in (0, 17, 10**9, "9" * 5000):
             with pytest.raises(DslSyntaxError, match="16"):
                 dsl.parse(text % bound)
+
+    def test_integer_dimension_capped(self):
+        # above the 16384 rows of OVERSIZED_PROGRAM, which must lower and time out
+        text = ("mechanism m { params { W: matrix(%s, h) = glorot; v: vector(%s) = normal; }"
+                " init { Z = X; } out { Y = Z; } }")
+        prog = dsl.parse(text % (DIM_MAX, "0" + str(DIM_MAX)))
+        assert [p.dims for p in prog.params] == [(DIM_MAX, "h"), (DIM_MAX,)]
+        for dim in (DIM_MAX + 1, 10**20, "9" * 5000):
+            for args in ((dim, 1), (1, dim)):
+                with pytest.raises(DslSyntaxError, match=f"cap of {DIM_MAX}"):
+                    dsl.parse(text % args)
 
     def test_step_requires_k(self):
         with pytest.raises(DslSyntaxError):

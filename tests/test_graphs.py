@@ -38,6 +38,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 1
 
+    def test_callers_arrays_stay_writeable(self):
+        f, y = np.zeros((3, 2)), np.array([0, 1, 0])
+        g = graphs.Graph(3, 2, [(0, 1)], f, y)
+        assert f.flags.writeable and y.flags.writeable
+        assert not g.features.flags.writeable and not g.labels.flags.writeable
+        f[0, 0], y[0] = 5.0, 1
+        assert g.features[0, 0] == 0.0 and g.labels[0] == 0
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             graphs.Graph(3, 2, [(1, 1)], np.zeros((3, 2)), [0, 1, 0])
@@ -171,16 +179,30 @@ class TestPattern:
 
 class TestSparseOp:
     def test_canonical_csr(self):
-        # rows and columns out of order, and one zero weight
-        op = graphs.SparseOp(sp.coo_matrix(([4.0, 2.0, 1.0, 0.0], ([2, 0, 0, 1], [0, 2, 1, 1])),
-                                           shape=(3, 3)))
+        # the laplacian's diagonal entry of isolated node 5 is a zero weight
+        g = TestOperatorFormulas.GRAPH
+        op = graphs.build_operator(g, LaplacianVariant(Variant.COMBINATORIAL))
+        ref = sp.csr_matrix(dense_reference(g, Variant.COMBINATORIAL, 0.0))
         assert op.csr.format == "csr"
-        assert op.csr.indptr.tolist() == [0, 2, 2, 3]
-        assert op.csr.indices.tolist() == [1, 2, 0]
-        assert op.csr.data.tolist() == [1.0, 2.0, 4.0]
+        assert op.csr.indptr.tolist() == [0, 3, 6, 10, 13, 15, 15]
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(op.csr, name), getattr(ref, name)
+            assert np.array_equal(a, b) and a.dtype == b.dtype
         row, col = op.coords
-        assert row.tolist() == [0, 0, 2] and col.tolist() == [1, 2, 0]
+        assert row.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
+        assert col.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 3, 2, 3, 4, 3, 4]
         assert row.dtype == col.dtype == np.int64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_operator_without_zeros_shares_the_pattern(self, dtype):
+        g = TestOperatorFormulas.GRAPH
+        csr = graphs.build_operator(g, LaplacianVariant(Variant.ADJ_SYM_NORM, 1.0), dtype).csr
+        indices, indptr = g.pattern[:2]
+        assert np.shares_memory(csr.indices, indices) and np.shares_memory(csr.indptr, indptr)
+        # c = 0 zeroes the diagonal, so that operator holds a compacted copy
+        csr = graphs.build_operator(g, LaplacianVariant(Variant.ADJ_SYM_NORM, 0.0), dtype).csr
+        assert csr.nnz == indices.size - g.num_nodes
+        assert not np.shares_memory(csr.indices, indices)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     @pytest.mark.parametrize("kind", list(Variant))
@@ -189,15 +211,23 @@ class TestSparseOp:
         assert csr.has_canonical_format
         assert np.all(csr.data != 0)
 
+    # No variant reaches a non-finite weight from a finite self-loop weight, so
+    # these tests plant one through the degree scaling of rw_norm.
     @pytest.mark.parametrize("val", [[1.0, np.nan], [np.inf, 1.0]])
-    def test_rejects_nonfinite_weight(self, val):
+    def test_rejects_nonfinite_weight(self, monkeypatch, val):
+        monkeypatch.setattr(graphs, "_inverse", lambda d: np.resize(val, d.shape))
         with pytest.raises(ValueError, match="non-finite"):
-            graphs.SparseOp(sp.coo_matrix((val, ([0, 1], [1, 0])), shape=(2, 2)))
+            graphs.build_operator(TestOperatorFormulas.GRAPH,
+                                  LaplacianVariant(Variant.ADJ_RW_NORM, 1.0))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-    def test_rejects_weight_beyond_dtype(self):
+    def test_rejects_weight_beyond_dtype(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_inverse", lambda d: np.full(d.shape, 1e300))
+        variant = LaplacianVariant(Variant.ADJ_RW_NORM, 1.0)
+        op = graphs.build_operator(TestOperatorFormulas.GRAPH, variant)
+        assert op.csr.data.max() == 1e300
         with pytest.raises(ValueError, match="non-finite"):
-            graphs.SparseOp(sp.csr_matrix(np.array([[1e300]])), np.float32)
+            graphs.build_operator(TestOperatorFormulas.GRAPH, variant, np.float32)
 
 
 class TestPruneMeanStd:
@@ -314,8 +344,9 @@ class TestEigOperator:
         op = graphs.build_operator(k3, LaplacianVariant(Variant.SYM_LAPLACIAN))
         assert np.allclose(graphs.eig_operator(op).eigenvalues, [0, 1.5, 1.5], atol=1e-10)
 
-    def test_rejects_asymmetric(self):
-        op = graphs.SparseOp(sp.coo_matrix(([1.0], ([0], [1])), shape=(2, 2)))
+    def test_rejects_asymmetric(self, p3):
+        # rw_norm scales rows by 1 / (degree + c): on P3, 1/2 at (0, 1) and 1/3 at (1, 0)
+        op = graphs.build_operator(p3, LaplacianVariant(Variant.ADJ_RW_NORM, 1.0))
         with pytest.raises(graphs.SpecSearchError, match="symmetric"):
             graphs.eig_operator(op)
 

@@ -253,6 +253,9 @@ class TestScoring:
         ("W[k]", "W[3]", "compile"),              # literal indices resolve in the compiler too
         ("W[k]", "W[0]", "compile"),
         ("W[k]", "W[1.5]", "compile"),
+        # a hostile dimension fails in the front end, so nothing of its size is allocated
+        ("matrix(h, h)", "matrix(99999999999999999999, h)", "parse"),
+        ("matrix(h, h)", "matrix(h, 65537)", "parse"),
     ])
     def test_malformed_program_label(self, scored_setup, old, new, reason):
         text = LABEL_PROGRAM.replace(old, new)
