@@ -116,7 +116,7 @@ class _Lowering:
     def run(self):
         prog = self.prog
         self.block(prog.init_block)
-        for k in range(1, prog.loop_count + 1) if prog.has_step else ():
+        for k in range(1, prog.loop_count + 1) if prog.step_block else ():
             self.env["k"] = float(k)
             before = {st.target: self._shape(self.env[st.target])
                       for st in prog.step_block if st.target in self.env}

@@ -81,11 +81,9 @@ class Program:
     params: tuple             # ParamDecl...
     graph_defs: tuple         # GraphDef...
     init_block: tuple         # Assign...
-    step_block: tuple         # Assign..., or () when absent
-    has_step: bool
-    final_block: tuple
-    has_final: bool
-    out_expr: object
+    step_block: tuple         # Assign..., unrolled K times; () when empty or absent
+    final_block: tuple        # Assign...; () when empty or absent
+    out_expr: object          # the expression the out block assigns to Y
 
     def const(self, name, default=None):
         for k, v in self.consts:

@@ -1,4 +1,13 @@
-"""Tokenizer and recursive-descent parser for the propagation DSL."""
+"""Tokenizer and recursive-descent parser for the propagation DSL.
+
+The grammar states each rule once:
+- one section rule: `section` parses every `kw { item; ... }` block, from
+  consts to out;
+- one name rule: a section that declares names (consts, params, graph)
+  rejects a repeated name at the token that repeats it;
+- one bounded-integer rule: `bounded_int` checks an integer dimension
+  (1..DIM_MAX) and an integer array bound (1..K_MAX) at their tokens.
+"""
 
 from __future__ import annotations
 
@@ -39,6 +48,10 @@ DIM_MAX = 65_536
 # are capped well below Python's recursion limit.
 MAX_TEXT_CHARS = 32_768
 MAX_DEPTH = 64
+
+# The sections whose items declare names, and the rank of each parameter kind.
+_DECLARING = ("consts", "params", "graph")
+_RANKS = {"scalar": 0, "vector": 1, "matrix": 2}
 
 
 class _Tok:
@@ -119,51 +132,87 @@ class _Parser:
         self.depth -= 1
         return e
 
+    def parenthesized(self, item):
+        """`( item, ... )`, possibly empty, as a tuple."""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
+        self.expect(")")
+        return tuple(items)
+
+    def bounded_int(self, tok, cap, what):
+        """The value of an integer token, which must lie in 1..cap. A digit
+        string longer than the cap's is over it: int() refuses more than 4300
+        digits."""
+        if len(tok.text.lstrip("0")) > len(str(cap)) or not 1 <= int(tok.text) <= cap:
+            self.fail(f"{what} must be from 1 up to the cap of {cap}", tok)
+        return int(tok.text)
+
     # -- grammar ---------------------------------------------------------
 
     def program(self):
         self.expect("mechanism")
         name = self.expect_ident().text
         self.expect("{")
-        consts = self.consts_section() if self.at("consts") else ()
-        params = self.params_section() if self.at("params") else ()
-        graph_defs = self.graph_section() if self.at("graph") else ()
-        if not self.at("init"):
-            self.fail("every mechanism needs an init block")
-        init_block = self.stmt_block("init")
-        has_step = self.at("step")
-        step_block = self.stmt_block("step") if has_step else ()
-        has_final = self.at("final")
-        final_block = self.stmt_block("final") if has_final else ()
-        out_expr = self.out_section()
+        consts = self.section("consts", self.const_def, optional=True)
+        params = self.section("params", self.param_decl, optional=True)
+        graph_defs = self.section("graph", self.graph_def, optional=True)
+        init_block = self.section("init", self.assign)
+        step_block = self.section("step", self.assign, optional=True)
+        final_block = self.section("final", self.assign, optional=True)
+        out_tok = self.peek()
+        out = self.section("out", self.assign)
+        if [st.target for st in out] != ["Y"]:
+            self.fail("out block must hold one assignment, to Y", out_tok)
         self.expect("}")
         if self.peek().kind != "eof":
             self.fail(f"trailing input after mechanism: {self.peek().text!r}")
         prog = Program(name=name, consts=consts, params=params,
                        graph_defs=graph_defs, init_block=init_block,
-                       step_block=step_block, has_step=has_step,
-                       final_block=final_block, has_final=has_final,
-                       out_expr=out_expr)
-        self.validate(prog)
+                       step_block=step_block, final_block=final_block,
+                       out_expr=out[0].expr)
+        k = prog.const("K")
+        if k is None:
+            if step_block or any(p.array == "K" for p in params):
+                self.fail("K must be declared in consts when a step block or K-sized array is used")
+        elif k != int(k) or k < 1:
+            self.fail("K must be a positive integer")
+        elif k > K_MAX:
+            self.fail(f"K exceeds the cap of {K_MAX}")
         return prog
 
-    def consts_section(self):
-        self.expect("consts")
+    def section(self, kw, item, optional=False):
+        """`kw { item; ... }` as a tuple of items, or () for an optional section
+        that is absent. Each item starts with the name it declares or assigns; a
+        declaring section names each thing once."""
+        if optional and not self.at(kw):
+            return ()
+        self.expect(kw)
         self.expect("{")
-        out = []
+        items, seen = [], set()
         while not self.at("}"):
-            name = self.expect_ident().text
-            self.expect("=")
-            out.append((name, self.signed_number()))
+            t = self.peek()
+            if kw in _DECLARING and t.text in seen:
+                self.fail(f"{t.text!r} is declared twice in {kw}", t)
+            seen.add(t.text)
+            items.append(item())
             self.expect(";")
         self.expect("}")
-        return tuple(out)
+        return tuple(items)
+
+    def const_def(self):
+        name = self.expect_ident().text
+        self.expect("=")
+        return name, self.signed_number()
 
     def signed_number(self):
-        neg = False
-        if self.at("-"):
+        neg = self.at("-")
+        if neg:
             self.next()
-            neg = True
         v = self.number(self.next())
         return -v if neg else v
 
@@ -175,36 +224,15 @@ class _Parser:
             self.fail(f"number {t.text} is too large", t)
         return v
 
-    def params_section(self):
-        self.expect("params")
-        self.expect("{")
-        out = []
-        while not self.at("}"):
-            out.append(self.param_decl())
-            self.expect(";")
-        self.expect("}")
-        return tuple(out)
-
     def param_decl(self):
         name = self.expect_ident().text
         self.expect(":")
         t = self.next()
-        if t.text == "scalar":
-            kind, dims = "scalar", ()
-        elif t.text == "vector":
-            self.expect("(")
-            dims = (self.dim(),)
-            self.expect(")")
-            kind = "vector"
-        elif t.text == "matrix":
-            self.expect("(")
-            d1 = self.dim()
-            self.expect(",")
-            d2 = self.dim()
-            self.expect(")")
-            kind, dims = "matrix", (d1, d2)
-        else:
+        if t.text not in _RANKS:
             self.fail(f"expected scalar/vector/matrix, found {t.text!r}", t)
+        dims = self.parenthesized(self.dim) if _RANKS[t.text] else ()
+        if len(dims) != _RANKS[t.text]:
+            self.fail(f"{t.text} takes {_RANKS[t.text]} dimension(s), found {len(dims)}", t)
         array = None
         if self.at("["):
             self.next()
@@ -212,31 +240,28 @@ class _Parser:
             if it.text == "K":
                 array = "K"
             elif it.text.isdigit():
-                array = _int_at_most(it.text, K_MAX)
+                # Lowering makes one parameter per array entry before any
+                # timeout applies, so an integer bound is capped as K is.
+                array = self.bounded_int(it, K_MAX, "an array bound")
             else:
                 self.fail(f"array bound must be K or an integer, found {it.text!r}", it)
             self.expect("]")
         self.expect("=")
         init = self.init_spec()
-        return ParamDecl(name=name, kind=kind, dims=dims, array=array, init=init)
+        return ParamDecl(name=name, kind=t.text, dims=dims, array=array, init=init)
 
     def dim(self):
         t = self.next()
-        if t.kind == "ident" and t.text in ("n", "f", "h", "c"):
+        if t.text in ("n", "f", "h", "c"):
             return t.text
         if t.text.isdigit():
-            d = _int_at_most(t.text, DIM_MAX)
-            if d > DIM_MAX:
-                self.fail(f"integer dimension exceeds the cap of {DIM_MAX}", t)
-            return d
+            return self.bounded_int(t, DIM_MAX, "an integer dimension")
         self.fail(f"expected dimension n/f/h/c or integer, found {t.text!r}", t)
 
     def init_spec(self):
         t = self.next()
-        if t.text == "glorot":
-            return "glorot"
-        if t.text == "normal":
-            return "normal"
+        if t.text in ("glorot", "normal"):
+            return t.text
         if t.text == "const":
             self.expect("(")
             v = self.signed_number()
@@ -244,57 +269,32 @@ class _Parser:
             return ("const", v)
         self.fail(f"expected glorot/normal/const(..), found {t.text!r}", t)
 
-    def graph_section(self):
-        self.expect("graph")
-        self.expect("{")
-        out = []
-        while not self.at("}"):
-            name = self.expect_ident().text
+    def graph_def(self):
+        name = self.expect_ident().text
+        self.expect("=")
+        ctor = self.expect_ident()
+        if ctor.text not in GRAPH_CTORS:
+            self.fail(f"unknown graph constructor {ctor.text!r}", ctor)
+        self.expect("(")
+        c = 0.0
+        if not self.at(")"):
+            ctok = self.expect_ident()
+            if ctok.text != "c":
+                self.fail(f"graph constructors take only c=.., found {ctok.text!r}", ctok)
             self.expect("=")
-            ctor_tok = self.expect_ident()
-            ctor = ctor_tok.text
-            if ctor not in GRAPH_CTORS:
-                self.fail(f"unknown graph constructor {ctor!r}", ctor_tok)
-            self.expect("(")
-            c = 0.0
-            if not self.at(")"):
-                ctok = self.expect_ident()
-                if ctok.text != "c":
-                    self.fail(f"graph constructors take only c=.., found {ctok.text!r}", ctok)
-                self.expect("=")
-                c = self.signed_number()
-                if c < 0:
-                    self.fail(f"self-loop weight c must be >= 0, got {c:g}", ctok)
-            self.expect(")")
-            self.expect(";")
-            out.append(GraphDef(name=name, ctor=ctor, self_loop=c))
-        self.expect("}")
-        return tuple(out)
+            c = self.signed_number()
+            if c < 0:
+                self.fail(f"self-loop weight c must be >= 0, got {c:g}", ctok)
+        self.expect(")")
+        return GraphDef(name=name, ctor=ctor.text, self_loop=c)
 
-    def stmt_block(self, kw):
-        self.expect(kw)
-        self.expect("{")
-        out = []
-        while not self.at("}"):
-            t = self.expect_ident()
-            self.expect("=")
-            e = self.expr()
-            self.expect(";")
-            out.append(Assign(target=t.text, expr=e, pos=(t.line, t.col)))
-        self.expect("}")
-        return tuple(out)
-
-    def out_section(self):
-        self.expect("out")
-        self.expect("{")
+    def assign(self):
         t = self.expect_ident()
-        if t.text != "Y":
-            self.fail(f"out block must assign Y, found {t.text!r}", t)
         self.expect("=")
         e = self.expr()
-        self.expect(";")
-        self.expect("}")
-        return e
+        if _tree_depth(e) > MAX_DEPTH:
+            self.fail(f"expression for {t.text} is more than {MAX_DEPTH} deep", t)
+        return Assign(target=t.text, expr=e, pos=(t.line, t.col))
 
     # -- expressions -----------------------------------------------------
 
@@ -340,15 +340,8 @@ class _Parser:
             if self.at("("):
                 if t.text not in CALLS:
                     self.fail(f"unknown function {t.text!r}", t)
-                self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.nested_expr())
-                    while self.at(","):
-                        self.next()
-                        args.append(self.nested_expr())
-                self.expect(")")
-                return Call(fn=t.text, args=tuple(args), pos=(t.line, t.col))
+                return Call(fn=t.text, args=self.parenthesized(self.nested_expr),
+                            pos=(t.line, t.col))
             if t.text in KEYWORDS:
                 self.fail(f"keyword {t.text!r} cannot appear in an expression", t)
             return Name(ident=t.text, pos=(t.line, t.col))
@@ -357,49 +350,6 @@ class _Parser:
             self.expect(")")
             return e
         self.fail(f"unexpected token {t.text!r}", t)
-
-    # -- whole-program validation ---------------------------------------
-
-    def validate(self, prog):
-        seen = set()
-        for cname, _ in prog.consts:
-            if cname in seen:
-                self.fail(f"duplicate const {cname!r}")
-            seen.add(cname)
-        pseen = set()
-        for p in prog.params:
-            if p.name in pseen:
-                self.fail(f"duplicate parameter {p.name!r}")
-            pseen.add(p.name)
-        gseen = set()
-        for g in prog.graph_defs:
-            if g.name in gseen:
-                self.fail(f"duplicate graph operator {g.name!r}")
-            gseen.add(g.name)
-        stmts = prog.init_block + prog.step_block + prog.final_block
-        for target, e in [(st.target, st.expr) for st in stmts] + [("Y", prog.out_expr)]:
-            if _tree_depth(e) > MAX_DEPTH:
-                self.fail(f"expression for {target} is more than {MAX_DEPTH} deep")
-        k = prog.const("K")
-        needs_k = prog.has_step or any(p.array == "K" for p in prog.params)
-        if needs_k and k is None:
-            self.fail("K must be declared in consts when a step block or K-sized array is used")
-        if k is not None:
-            if k != int(k) or int(k) < 1:
-                self.fail("K must be a positive integer")
-            if int(k) > K_MAX:
-                self.fail(f"K exceeds the cap of {K_MAX}")
-        for p in prog.params:
-            # Lowering makes one parameter per array entry before any timeout
-            # applies, so an integer bound is capped as K is.
-            if isinstance(p.array, int) and not 1 <= p.array <= K_MAX:
-                self.fail(f"array bound of {p.name!r} must be in 1..{K_MAX}")
-
-
-def _int_at_most(digits, cap):
-    """The value of a digit string, or cap + 1 for any value above cap; int()
-    refuses a string of more than 4300 digits."""
-    return int(digits) if len(digits.lstrip("0")) <= len(str(cap)) else cap + 1
 
 
 def _tree_depth(e):

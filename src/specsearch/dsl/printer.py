@@ -37,58 +37,39 @@ def _fmt_expr(e, parent_prec=0, right_side=False):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _fmt_dim(d):
-    return str(d)
-
-
 def _fmt_init(spec):
-    if spec == "glorot":
-        return "glorot"
-    if spec == "normal":
-        return "normal"
-    return f"const({_fmt_num(spec[1])})"
+    return spec if isinstance(spec, str) else f"const({_fmt_num(spec[1])})"
+
+
+def _fmt_param(p):
+    ty = f"{p.kind}({', '.join(map(str, p.dims))})" if p.dims else p.kind
+    arr = "" if p.array is None else f"[{p.array}]"
+    return f"{p.name}: {ty}{arr} = {_fmt_init(p.init)}"
+
+
+def _fmt_graph(g):
+    arg = f"c={_fmt_num(g.self_loop)}" if g.self_loop != 0 else ""
+    return f"{g.name} = {g.ctor}({arg})"
 
 
 def print_program(prog):
-    """Render a Program AST back to canonical DSL text."""
+    """Render a Program AST back to canonical DSL text. An optional section is
+    printed only when it has entries."""
     lines = [f"mechanism {prog.name} {{"]
-    if prog.consts:
-        lines.append("  consts {")
-        for name, v in prog.consts:
-            lines.append(f"    {name} = {_fmt_num(v)};")
-        lines.append("  }")
-    if prog.params:
-        lines.append("  params {")
-        for p in prog.params:
-            if p.kind == "scalar":
-                ty = "scalar"
-            elif p.kind == "vector":
-                ty = f"vector({_fmt_dim(p.dims[0])})"
-            else:
-                ty = f"matrix({_fmt_dim(p.dims[0])}, {_fmt_dim(p.dims[1])})"
-            arr = "" if p.array is None else f"[{p.array}]"
-            lines.append(f"    {p.name}: {ty}{arr} = {_fmt_init(p.init)};")
-        lines.append("  }")
-    if prog.graph_defs:
-        lines.append("  graph {")
-        for g in prog.graph_defs:
-            arg = f"c={_fmt_num(g.self_loop)}" if g.self_loop != 0 else ""
-            lines.append(f"    {g.name} = {g.ctor}({arg});")
-        lines.append("  }")
 
-    def block(kw, stmts):
-        lines.append(f"  {kw} {{")
-        for st in stmts:
-            lines.append(f"    {st.target} = {_fmt_expr(st.expr)};")
-        lines.append("  }")
+    def section(kw, items, optional=True):
+        if items or not optional:
+            lines.extend([f"  {kw} {{", *(f"    {item};" for item in items), "  }"])
 
-    block("init", prog.init_block)
-    if prog.has_step:
-        block("step", prog.step_block)
-    if prog.has_final:
-        block("final", prog.final_block)
-    lines.append("  out {")
-    lines.append(f"    Y = {_fmt_expr(prog.out_expr)};")
-    lines.append("  }")
+    def stmts(block):
+        return [f"{st.target} = {_fmt_expr(st.expr)}" for st in block]
+
+    section("consts", [f"{name} = {_fmt_num(v)}" for name, v in prog.consts])
+    section("params", [_fmt_param(p) for p in prog.params])
+    section("graph", [_fmt_graph(g) for g in prog.graph_defs])
+    section("init", stmts(prog.init_block), optional=False)
+    section("step", stmts(prog.step_block))
+    section("final", stmts(prog.final_block))
+    section("out", [f"Y = {_fmt_expr(prog.out_expr)}"])
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ class Individual:
     origin: str                 # seed | E1 | E2 | C1
     generation_born: int
     fitness: float = None
-    test_accuracy: float = None
 
     def __post_init__(self):
         if not self.program_text:
@@ -168,7 +167,6 @@ def _score(candidates, archive, graph, split, train_cfg, pool_size, memo):
         records.append({"id": ind.id, "op": ind.origin, **fields})
         if res.ok:
             ind.fitness = res.fitness
-            ind.test_accuracy = res.test_accuracy
             archive.add(ind)
     return records
 

@@ -167,7 +167,7 @@ def train(assembly, graph, split, cfg):
     params = assembly.params
     state = ad.AdamState()
     metrics = TrainMetrics()
-    best_snap = assembly.snapshot()
+    best_snap = None            # epoch 1 always takes the first snapshot
     since_best = 0
     train_idx = np.asarray(split.train, dtype=np.int64)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -181,7 +181,7 @@ def train(assembly, graph, split, cfg):
                 t.grad = None
         ad.step_adam(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay)
         metrics.train_losses.append(float(loss.data[0, 0]))
-        del logits, loss, grads      # free the training tape before validation builds one
+        del logits, loss, grads      # free the logits and gradients before the validation forward
         val_acc = evaluate(assembly, graph, split.val)
         metrics.epochs_run = epoch
         metrics.val_accuracies.append(val_acc)

@@ -1,7 +1,9 @@
 """DSL parser, printer, front end (lowering), back end, and builtin corpus."""
 
 import dataclasses
+import operator
 import re
+import string
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from specsearch import autodiff as ad
 from specsearch import dsl, graphs, search, training
 from specsearch.dsl.corpus import SEED_NAMES
-from specsearch.dsl.parser import DIM_MAX, KEYWORDS, MAX_DEPTH, MAX_TEXT_CHARS
+from specsearch.dsl.parser import (CALLS, DIM_MAX, GRAPH_CTORS, K_MAX, KEYWORDS, MAX_DEPTH,
+                                   MAX_TEXT_CHARS)
 from specsearch.dsl import nodes
 from specsearch.errors import (CompileError, DslSyntaxError, ShapeMismatch,
                                UndeclaredIdentifier, UnknownBuiltin)
@@ -50,7 +53,7 @@ class TestParser:
     def test_cora_structure(self):
         prog = dsl.parse(dsl.builtin("cora-appnp-residual"))
         assert prog.loop_count == 4
-        assert prog.has_step and prog.has_final
+        assert prog.step_block and prog.final_block
 
     def test_unbalanced_delimiter_names_line(self):
         text = "mechanism m {\n  init { Z = X; }\n  out { Y = Z; }\n"
@@ -71,7 +74,7 @@ class TestParser:
         text = ("mechanism m { params { W: scalar[%s] = normal; } init { Z = X * W[1]; }"
                 " out { Y = Z; } }")
         assert dsl.parse(text % 16).params[0].array == 16
-        for bound in (0, 17, 10**9, "9" * 5000):
+        for bound in (0, "00", 17, 10**9, "9" * 5000):
             with pytest.raises(DslSyntaxError, match="16"):
                 dsl.parse(text % bound)
 
@@ -81,7 +84,7 @@ class TestParser:
                 " init { Z = X; } out { Y = Z; } }")
         prog = dsl.parse(text % (DIM_MAX, "0" + str(DIM_MAX)))
         assert [p.dims for p in prog.params] == [(DIM_MAX, "h"), (DIM_MAX,)]
-        for dim in (DIM_MAX + 1, 10**20, "9" * 5000):
+        for dim in (0, "00", DIM_MAX + 1, 10**20, "9" * 5000):
             for args in ((dim, 1), (1, dim)):
                 with pytest.raises(DslSyntaxError, match=f"cap of {DIM_MAX}"):
                     dsl.parse(text % args)
@@ -90,6 +93,25 @@ class TestParser:
         with pytest.raises(DslSyntaxError):
             dsl.parse("mechanism m { init { Z = X; } step { Z = Z; }"
                       " out { Y = Z; } }")
+
+    def test_empty_block_is_no_block(self):
+        bare = dsl.parse("mechanism m { init { Z = X; } out { Y = Z; } }")
+        # an empty step block unrolls nothing, so it needs no K
+        assert dsl.parse("mechanism m { init { Z = X; } step { } final { }"
+                         " out { Y = Z; } }") == bare
+
+    @pytest.mark.parametrize("section, item", [
+        ("consts", "a = 1"), ("params", "a: scalar = normal"), ("graph", "a = sym_norm()")])
+    def test_repeated_name_rejected_at_its_token(self, section, item):
+        text = f"mechanism m {{\n  {section} {{ {item}; {item}; }}\n  init {{ Z = X; }} out {{ Y = Z; }} }}"
+        with pytest.raises(DslSyntaxError, match=f"'a' is declared twice in {section}") as exc:
+            dsl.parse(text)
+        assert (exc.value.line, exc.value.col) == (2, text.splitlines()[1].rindex(item) + 1)
+
+    @pytest.mark.parametrize("body", ["", "Z = X;", "Y = X; Y = X;", "Y = X; Z = X;"])
+    def test_out_block_assigns_y_once(self, body):
+        with pytest.raises(DslSyntaxError, match="one assignment, to Y"):
+            dsl.parse(f"mechanism m {{ init {{ Z = X; }} out {{ {body} }} }}")
 
     def test_comments_ignored(self):
         a = dsl.parse("mechanism m { # hello\n init { Z = X; } out { Y = Z; } }")
@@ -154,6 +176,62 @@ class TestFuzzRoundTrip:
             prog = dsl.parse(text)
             printed = dsl.print_program(prog)
             assert dsl.print_program(dsl.parse(printed)) == printed
+
+
+# Program ASTs drawn from the grammar. Literals are non-negative, as the parser
+# reads them: a negative value is a Unary minus. Any name not in KEYWORDS parses,
+# declared or not; K is declared whenever a step block or a [K] array needs it.
+# Twelve leaves keep every tree far below MAX_DEPTH.
+_WORD_START = string.ascii_letters + "_"
+IDENTS = st.builds(operator.add, st.sampled_from(_WORD_START),
+                   st.text(_WORD_START + string.digits, max_size=3)).filter(
+    lambda s: s not in KEYWORDS)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _compound(sub):
+    calls = st.sampled_from(sorted(CALLS)).flatmap(
+        lambda fn: st.builds(nodes.Call, st.just(fn), st.tuples(*[sub] * CALLS[fn])))
+    return st.one_of(st.builds(nodes.Bin, st.sampled_from("+-*/@"), sub, sub),
+                     st.builds(nodes.Unary, st.just("-"), sub),
+                     st.builds(nodes.Index, IDENTS, sub), calls)
+
+
+EXPRS = st.recursive(st.builds(nodes.Num, NON_NEGATIVE) | st.builds(nodes.Name, IDENTS),
+                     _compound, max_leaves=12)
+BLOCKS = st.lists(st.builds(nodes.Assign, IDENTS, EXPRS), max_size=3).map(tuple)
+DIMENSIONS = st.sampled_from("nfhc") | st.integers(1, DIM_MAX)
+PARAMS = st.sampled_from([("scalar", 0), ("vector", 1), ("matrix", 2)]).flatmap(
+    lambda kind: st.builds(
+        nodes.ParamDecl, name=IDENTS, kind=st.just(kind[0]),
+        dims=st.tuples(*[DIMENSIONS] * kind[1]),
+        array=st.none() | st.just("K") | st.integers(1, K_MAX),
+        init=st.sampled_from(["glorot", "normal"]) | st.tuples(st.just("const"), FLOATS)))
+GRAPH_DEFS = st.builds(nodes.GraphDef, name=IDENTS, ctor=st.sampled_from(sorted(GRAPH_CTORS)),
+                       self_loop=NON_NEGATIVE)
+
+
+@st.composite
+def programs(draw):
+    params = draw(st.lists(PARAMS, max_size=3, unique_by=lambda p: p.name))
+    step_block = draw(BLOCKS)
+    consts = draw(st.lists(st.tuples(IDENTS.filter(lambda s: s != "K"), FLOATS),
+                           max_size=3, unique_by=lambda c: c[0]))
+    if step_block or any(p.array == "K" for p in params) or draw(st.booleans()):
+        consts.insert(draw(st.integers(0, len(consts))), ("K", float(draw(st.integers(1, K_MAX)))))
+    return nodes.Program(
+        name=draw(IDENTS), consts=tuple(consts), params=tuple(params),
+        graph_defs=tuple(draw(st.lists(GRAPH_DEFS, max_size=3, unique_by=lambda g: g.name))),
+        init_block=draw(BLOCKS), step_block=step_block, final_block=draw(BLOCKS),
+        out_expr=draw(EXPRS))
+
+
+class TestGeneratedPrograms:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(prog=programs())
+    def test_printed_program_parses_to_itself(self, prog):
+        assert dsl.parse(dsl.print_program(prog)) == prog
 
 
 def _tokens(text):

@@ -341,6 +341,14 @@ class TestRunSearch:
         assert len(csv_text.splitlines()) == 5   # header + seed row + 3 generations
         assert (out / "best_program.txt").read_text() == report.best.program_text
 
+    def test_search_holds_no_test_accuracy(self, search_env, tmp_path):
+        g, split, tcfg = search_env
+        scfg = SearchConfig(generations=1, pool_size=4, seed=0)
+        path = make_replay_file(tmp_path, full_replay_records(1))
+        report = search.run_search(g, split, scfg, tcfg, bridge.ReplayBackend(path))
+        assert report.archive.members
+        assert not any(hasattr(m, "test_accuracy") for m in report.archive.members)
+
     def test_zero_generations(self, search_env, tmp_path):
         g, split, tcfg = search_env
         scfg = SearchConfig(generations=0, pool_size=4, seed=0)

@@ -256,6 +256,11 @@ class TestScoring:
         # a hostile dimension fails in the front end, so nothing of its size is allocated
         ("matrix(h, h)", "matrix(99999999999999999999, h)", "parse"),
         ("matrix(h, h)", "matrix(h, 65537)", "parse"),
+        # a zero dimension too: glorot divides by zero, and a max over a zero-size axis raises
+        ("[K] = glorot;", "[K] = glorot; V: matrix(0, 0) = glorot;", "parse"),
+        ("glorot; }\n  graph { A = sym_norm(c=1); }\n  init { Z = X; }",
+         "glorot; V: matrix(h, 0) = glorot; }\n  graph { A = sym_norm(c=1); }\n"
+         "  init { Z = X + sum_rows(softmax_rows(X @ V)); }", "parse"),
     ])
     def test_malformed_program_label(self, scored_setup, old, new, reason):
         text = LABEL_PROGRAM.replace(old, new)
