@@ -298,16 +298,12 @@ def backward(loss):
 # -- parameters and optimizer --------------------------------------------------
 
 
-def glorot_uniform(shape, rng, dtype=np.float64):
-    fan_in, fan_out = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def init_array(spec, shape, rng, dtype=np.float64):
-    """spec: 'glorot' | 'normal' | ('const', value)."""
+    """spec: 'glorot' (Glorot uniform) | 'normal' | ('const', value)."""
     if spec == "glorot":
-        return glorot_uniform(shape, rng, dtype)
+        fan_in, fan_out = shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape).astype(dtype)
     if spec == "normal":
         return rng.normal(0.0, 0.1, size=shape).astype(dtype)
     if isinstance(spec, tuple) and spec[0] == "const":
@@ -322,14 +318,14 @@ class AdamState:
         self.t = 0
 
 
-def step_adam(params, grads, state, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
-              weight_decay=0.0):
-    """In-place Adam update; L2 weight decay is folded into the gradient."""
+def step_adam(params, state, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """In-place Adam update from each parameter's `.grad`, which it clears (without
+    one, a parameter does not move); L2 weight decay is folded into the gradient."""
     b1, b2 = betas
     state.t += 1
     t = state.t
     for name, tensor in params.items():
-        g = grads.get(name)
+        g, tensor.grad = tensor.grad, None
         if g is None:
             continue
         if not np.all(np.isfinite(g)):

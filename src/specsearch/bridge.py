@@ -162,7 +162,9 @@ class ReplayBackend:
                     continue
                 try:
                     rec = json.loads(line)
-                    key = (int(rec["gen"]), rec["op"], int(rec["slot"]))
+                    key = (rec["gen"], rec["op"], rec["slot"])
+                    if type(key[0]) is not int or type(key[2]) is not int:
+                        raise ValueError(f"gen and slot must be JSON integers, got {key}")
                     text = rec["text"]
                     if text is not None and not isinstance(text, str):
                         raise TypeError(f"text must be a string or null, got {text!r}")

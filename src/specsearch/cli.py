@@ -214,9 +214,10 @@ def _settings(args, run=RunConfig()):
 
 
 def _score(texts, data, train_cfg, pool_size):
-    """One result list per (graph, split) of `data` for `texts`, each scored as one batch."""
-    return [training.evaluate_batch(texts, graph, split, train_cfg, pool_size=pool_size)
-            for graph, split in data]
+    """One batch of `texts` per (graph, split) of `data`, all under one BLAS pin."""
+    with training.one_blas_thread():
+        return [training.evaluate_batch(texts, graph, split, train_cfg, pool_size=pool_size)
+                for graph, split in data]
 
 
 def cmd_search(args):

@@ -13,7 +13,7 @@ def _fmt_num(v):
     return repr(float(v))
 
 
-def _fmt_expr(e, parent_prec=0, right_side=False):
+def _fmt_expr(e, parent_prec=0):
     if isinstance(e, Num):
         return _fmt_num(e.value)
     if isinstance(e, Name):
@@ -28,12 +28,10 @@ def _fmt_expr(e, parent_prec=0, right_side=False):
         return f"({s})" if parent_prec > 2 else s
     if isinstance(e, Bin):
         prec = _PREC[e.op]
-        left = _fmt_expr(e.left, parent_prec=prec, right_side=False)
-        right = _fmt_expr(e.right, parent_prec=prec + 1, right_side=True)
-        s = f"{left} {e.op} {right}"
-        if prec < parent_prec or (prec == parent_prec and right_side):
-            return f"({s})"
-        return s
+        # Operators associate to the left, so a right operand of equal
+        # precedence needs brackets: it is formatted one level tighter.
+        s = f"{_fmt_expr(e.left, prec)} {e.op} {_fmt_expr(e.right, prec + 1)}"
+        return f"({s})" if prec < parent_prec else s
     raise TypeError(f"not an expression node: {e!r}")
 
 

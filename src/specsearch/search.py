@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bridge, dsl, training
-from .dsl.corpus import SEED_NAMES, builtin, builtin_ideas
+from .dsl.corpus import SEED_NAMES, builtin, builtin_ideas, builtin_names
 from .errors import DslSyntaxError, MalformedResponse, SpecSearchError
 
 
@@ -100,6 +100,9 @@ class SearchConfig:
         for op in self.prompt_ops:
             if op not in bridge.PROMPT_OPS:
                 raise ValueError(f"unknown prompt operator {op!r}")
+        if not self.seed_programs or not set(self.seed_programs) <= set(builtin_names()):
+            raise ValueError(f"seed_programs must name one or more builtin programs, "
+                             f"got {list(self.seed_programs)}")
 
 
 def select_for_prompt(archive, op_kind, P, rng):
@@ -261,25 +264,27 @@ def run_search(graph, split, search_cfg, train_cfg, backend, out_dir=None, log=N
     best_program.txt.
 
     Each distinct program (by `dedup_key`) is trained once per run: repeats
-    reuse the run's fitness memo (see `_score`).
+    reuse the run's fitness memo (see `_score`). The BLAS pin of
+    `training.one_blas_thread` is held for the whole run.
     """
     rng = np.random.default_rng(search_cfg.seed)
     memo = {}
-    archive, seed_records = init_population(
-        search_cfg.seed_programs, graph, split, train_cfg,
-        pool_size=search_cfg.pool_size, capacity=search_cfg.archive_capacity,
-        log=log, memo=memo)
-    history = [(0, archive.best.fitness, archive.mean_fitness(),
-                sum(1 for r in seed_records if r["status"] == "ok"))]
-    gen_logs = []
-    next_id = len(seed_records)
-    for gen in range(1, search_cfg.generations + 1):
-        gen_log, next_id = run_generation(archive, backend, graph, split,
-                                          train_cfg, search_cfg, gen, rng,
-                                          next_id, log=log, memo=memo)
-        gen_logs.append(gen_log)
-        ok = sum(1 for r in gen_log["candidates"] if r["status"] == "ok")
-        history.append((gen, archive.best.fitness, archive.mean_fitness(), ok))
+    with training.one_blas_thread():
+        archive, seed_records = init_population(
+            search_cfg.seed_programs, graph, split, train_cfg,
+            pool_size=search_cfg.pool_size, capacity=search_cfg.archive_capacity,
+            log=log, memo=memo)
+        history = [(0, archive.best.fitness, archive.mean_fitness(),
+                    sum(1 for r in seed_records if r["status"] == "ok"))]
+        gen_logs = []
+        next_id = len(seed_records)
+        for gen in range(1, search_cfg.generations + 1):
+            gen_log, next_id = run_generation(archive, backend, graph, split,
+                                              train_cfg, search_cfg, gen, rng,
+                                              next_id, log=log, memo=memo)
+            gen_logs.append(gen_log)
+            ok = sum(1 for r in gen_log["candidates"] if r["status"] == "ok")
+            history.append((gen, archive.best.fitness, archive.mean_fitness(), ok))
     report = SearchReport(best=archive.best, archive=archive,
                           seed_records=seed_records, generation_logs=gen_logs)
     if out_dir is not None:

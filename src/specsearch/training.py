@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -71,40 +72,34 @@ class TrainConfig:
 class ModelAssembly:
     """2-layer MLP feature transform -> mechanism -> linear head (when needed).
 
-    X_raw is the first linear layer's pre-activation output, X_in the MLP output.
+    The mechanism is the lowered program `typed`, compiled for `graph`. X_raw is
+    the first linear layer's pre-activation output, X_in the MLP output.
     """
 
-    def __init__(self, mechanism, graph, cfg):
+    def __init__(self, typed, graph, cfg):
         f, h, c = graph.num_features, cfg.hidden, graph.num_classes
-        dtype = cfg.dtype
         self.cfg = cfg
-        self.graph = graph
-        self.mechanism = mechanism
-        rng = np.random.default_rng((cfg.seed, 0))
-        self.params = {
-            "mlp.W1": ad.Tensor(ad.glorot_uniform((f, h), rng, dtype), requires_grad=True),
-            "mlp.b1": ad.Tensor(np.zeros((1, h), dtype=dtype), requires_grad=True),
-            "mlp.W2": ad.Tensor(ad.glorot_uniform((h, h), rng, dtype), requires_grad=True),
-            "mlp.b2": ad.Tensor(np.zeros((1, h), dtype=dtype), requires_grad=True),
-        }
-        self.has_head = mechanism.out_shape[1] != c
+        self.mechanism = dsl.compile_program(typed, graph, seed=cfg.seed + 1, dtype=cfg.dtype)
+        self.has_head = self.mechanism.out_shape[1] != c
+        table = [("mlp.W1", (f, h), "glorot"), ("mlp.b1", (1, h), ("const", 0)),
+                 ("mlp.W2", (h, h), "glorot"), ("mlp.b2", (1, h), ("const", 0))]
         if self.has_head:
-            self.params["head.W"] = ad.Tensor(ad.glorot_uniform((h, c), rng, dtype),
-                                              requires_grad=True)
-            self.params["head.b"] = ad.Tensor(np.zeros((1, c), dtype=dtype),
-                                              requires_grad=True)
-        for name, t in mechanism.params.items():
-            self.params[f"mech.{name}"] = t
-        self._x = ad.Tensor(graph.features.astype(dtype))
+            table += [("head.W", (h, c), "glorot"), ("head.b", (1, c), ("const", 0))]
+        rng = np.random.default_rng((cfg.seed, 0))
+        self.params = {name: ad.Tensor(ad.init_array(init, shape, rng, cfg.dtype),
+                                       requires_grad=True)
+                       for name, shape, init in table}
+        self.params.update((f"mech.{k}", t) for k, t in self.mechanism.params.items())
+        self._x = ad.Tensor(graph.features.astype(cfg.dtype))
 
     def forward(self, training=False, epoch=0):
         cfg = self.cfg
         x = self._x
-        if training and cfg.dropout > 0:
+        if training:
             x = ad.dropout(x, cfg.dropout, np.random.default_rng((cfg.seed, 0, epoch)))
         x_raw = ad.add(ad.matmul(x, self.params["mlp.W1"]), self.params["mlp.b1"])
         a = ad.relu(x_raw)
-        if training and cfg.dropout > 0:
+        if training:
             a = ad.dropout(a, cfg.dropout, np.random.default_rng((cfg.seed, 1, epoch)))
         x_in = ad.add(ad.matmul(a, self.params["mlp.W2"]), self.params["mlp.b2"])
         z = self.mechanism(x_in, x_raw)
@@ -112,15 +107,13 @@ class ModelAssembly:
             z = ad.add(ad.matmul(z, self.params["head.W"]), self.params["head.b"])
         return z
 
-    def predict(self):
-        return np.argmax(self.forward(training=False).data, axis=1)
-
     def snapshot(self):
         return {k: t.data.copy() for k, t in self.params.items()}
 
     def restore(self, snap):
+        # No second copy: `step_adam` replaces `t.data`, never writes into it.
         for k, t in self.params.items():
-            t.data = snap[k].copy()
+            t.data = snap[k]
 
 
 def lower(program_text, graph, cfg):
@@ -130,15 +123,9 @@ def lower(program_text, graph, cfg):
     return dsl.check_shapes(dsl.parse(program_text), dims)
 
 
-def _assemble(typed, graph, cfg):
-    """The back end: materialise a lowered program inside the standard assembly."""
-    mech = dsl.compile_program(typed, graph, seed=cfg.seed + 1, dtype=cfg.dtype)
-    return ModelAssembly(mech, graph, cfg)
-
-
 def build_assembly(program_text, graph, cfg):
     """parse -> lower -> materialise, wrapped in the standard assembly."""
-    return _assemble(lower(program_text, graph, cfg), graph, cfg)
+    return ModelAssembly(lower(program_text, graph, cfg), graph, cfg)
 
 
 def evaluate(assembly, graph, index_set):
@@ -146,7 +133,7 @@ def evaluate(assembly, graph, index_set):
     idx = np.asarray(list(index_set), dtype=np.int64)
     if idx.size == 0:
         raise ValueError("index set must be non-empty")
-    pred = assembly.predict()
+    pred = np.argmax(assembly.forward().data, axis=1)
     return float(np.mean(pred[idx] == graph.labels[idx]))
 
 
@@ -164,24 +151,17 @@ def train(assembly, graph, split, cfg):
 
     Restores the best-validation checkpoint before returning.
     """
-    params = assembly.params
     state = ad.AdamState()
     metrics = TrainMetrics()
     best_snap = None            # epoch 1 always takes the first snapshot
-    since_best = 0
     train_idx = np.asarray(split.train, dtype=np.int64)
     for epoch in range(1, cfg.max_epochs + 1):
         logits = assembly.forward(training=True, epoch=epoch)
         loss = ad.cross_entropy_with_logits(logits, graph.labels, train_idx)
         ad.backward(loss)
-        grads = {}
-        for name, t in params.items():
-            if t.grad is not None:
-                grads[name] = t.grad
-                t.grad = None
-        ad.step_adam(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        ad.step_adam(assembly.params, state, lr=cfg.lr, weight_decay=cfg.weight_decay)
         metrics.train_losses.append(float(loss.data[0, 0]))
-        del logits, loss, grads      # free the logits and gradients before the validation forward
+        del logits, loss            # free the logits before the validation forward
         val_acc = evaluate(assembly, graph, split.val)
         metrics.epochs_run = epoch
         metrics.val_accuracies.append(val_acc)
@@ -189,11 +169,8 @@ def train(assembly, graph, split, cfg):
             metrics.best_val_acc = val_acc
             metrics.best_epoch = epoch
             best_snap = assembly.snapshot()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        elif epoch - metrics.best_epoch >= cfg.patience:
+            break
     assembly.restore(best_snap)
     return metrics
 
@@ -242,7 +219,7 @@ def discard_reason(exc):
 
 def _score_impl(typed, graph, split, cfg):
     """The back end of scoring: materialise, train and evaluate a lowered program."""
-    assembly = _assemble(typed, graph, cfg)
+    assembly = ModelAssembly(typed, graph, cfg)
     metrics = train(assembly, graph, split, cfg)
     fitness = evaluate(assembly, graph, split.val)
     test_acc = evaluate(assembly, graph, split.test) if split.test else None
@@ -279,11 +256,25 @@ def blas_threads():
     return BlasThreads(get_num_threads, set_num_threads)
 
 
-def _set_blas_threads(blas, count):
-    # A set right after a fork rebuilds OpenBLAS's thread pool, and its helpers
-    # spin for OpenBLAS's thread timeout; so set only when the count changes.
-    if blas is not None and blas.get_num_threads() != count:
-        blas.set_num_threads(count)
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread, then restore the count; a hold inside
+    another changes nothing.
+
+    A set right after a fork rebuilds OpenBLAS's thread pool, and its helpers
+    spin for OpenBLAS's thread timeout; so a caller that scores batch after
+    batch holds the pin across all of them, and pays the rebuild once.
+    """
+    blas = blas_threads()
+    before = 1 if blas is None else blas.get_num_threads()
+    if before == 1:
+        yield
+        return
+    blas.set_num_threads(1)
+    try:
+        yield
+    finally:
+        blas.set_num_threads(before)
 
 
 @functools.cache
@@ -297,8 +288,8 @@ def libc_mallopt():
     return mallopt
 
 
-def _score_worker(conn, typed, graph, split, cfg, mallopt):
-    # The worker inherits a BLAS count of 1 from `evaluate_batch` and must not
+def _score_worker(conn, typed, graph, split, cfg):
+    # The worker inherits a BLAS count of 1 from `one_blas_thread` and must not
     # call `set_num_threads` itself: OpenBLAS shuts its pool down at fork, and a
     # set in the child rebuilds it with nproc - 1 helpers that spin idle for
     # about 0.1 s, on the cores the other workers train on.
@@ -307,6 +298,7 @@ def _score_worker(conn, typed, graph, split, cfg, mallopt):
     # builds one of the same sizes; left to itself glibc serves them by mmap or
     # trims the heap top, so every epoch faults its pages in again. The worker
     # exits after one candidate, so the heap it keeps dies with it.
+    mallopt = libc_mallopt()
     if mallopt is not None:
         mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
         mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
@@ -343,9 +335,10 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
     own forked process, `pool_size` at a time; one past cfg.timeout_seconds is
     killed as discarded(timeout), one that exits without a result is
     discarded(crash). A split that `check_split` rejects raises first. While
-    workers run, the parent's BLAS holds one thread, so each worker forks with
-    one (the pool runs a worker per core); the parent's count is restored when
-    the batch ends, however it ends.
+    workers run, the parent holds `one_blas_thread`, so each worker forks with
+    one BLAS thread (the pool runs a worker per core). A lone batch restores the
+    parent's count when it ends, however it ends; inside a caller's hold (a
+    search, or a command scoring several datasets) it changes nothing.
     """
     check_split(split)
     results = [None] * len(texts)
@@ -360,13 +353,8 @@ def evaluate_batch(texts, graph, split, cfg, pool_size=USABLE_CORES):
     if not jobs:
         return results
     graph.pattern               # built once here, so every forked worker inherits it
-    blas = blas_threads()
-    parent_threads = blas.get_num_threads() if blas is not None else None
-    try:
-        _set_blas_threads(blas, 1)
+    with one_blas_thread():
         _run_batch(jobs, results, graph, split, cfg, pool_size)
-    finally:
-        _set_blas_threads(blas, parent_threads)
     return results
 
 
@@ -380,12 +368,11 @@ def _run_batch(jobs, results, graph, split, cfg, pool_size):
     ctx = mp.get_context("fork")
     todo = list(jobs.items())
     pending = {}  # idx -> (process, conn, start_time)
-    mallopt = libc_mallopt()
 
     def launch(i, typed):
         parent, child = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_score_worker,
-                           args=(child, typed, graph, split, cfg, mallopt),
+                           args=(child, typed, graph, split, cfg),
                            daemon=True)
         proc.start()
         child.close()

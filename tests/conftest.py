@@ -82,6 +82,19 @@ def check_gradients(build_loss, arrays, h=1e-4, tol=1e-4):
         assert rel < tol, f"gradient mismatch for {name}: rel err {rel}"
 
 
+def fake_blas(monkeypatch, threads):
+    """Stand `training.blas_threads` in for a BLAS at `threads` threads; returns
+    the list of counts `set_num_threads` is called with."""
+    calls, count = [], [threads]
+
+    def set_num_threads(n):
+        calls.append(n)
+        count[0] = n
+    blas = training.BlasThreads(lambda: count[0], set_num_threads)
+    monkeypatch.setattr(training, "blas_threads", lambda: blas)
+    return calls
+
+
 # -- replay fixtures -----------------------------------------------------------
 
 

@@ -442,13 +442,15 @@ class TestAdam:
     def test_zero_gradient_no_motion(self):
         p = ad.Tensor(np.array([[2.0]]), requires_grad=True)
         state = ad.AdamState()
-        ad.step_adam({"p": p}, {"p": np.zeros((1, 1))}, state, lr=0.1)
+        p.grad = np.zeros((1, 1))
+        ad.step_adam({"p": p}, state, lr=0.1)
         assert p.data[0, 0] == 2.0
 
     def test_first_step_magnitude(self):
         p = ad.Tensor(np.array([[0.0]]), requires_grad=True)
         state = ad.AdamState()
-        ad.step_adam({"p": p}, {"p": np.ones((1, 1))}, state, lr=0.1)
+        p.grad = np.ones((1, 1))
+        ad.step_adam({"p": p}, state, lr=0.1)
         assert abs(p.data[0, 0] + 0.1) < 1e-6
 
     def test_deterministic_trajectory(self):
@@ -458,8 +460,8 @@ class TestAdam:
             state = ad.AdamState()
             traj = []
             for step in range(5):
-                g = rng.standard_normal((3, 3))
-                ad.step_adam({"p": p}, {"p": g}, state, lr=0.05, weight_decay=1e-3)
+                p.grad = rng.standard_normal((3, 3))
+                ad.step_adam({"p": p}, state, lr=0.05, weight_decay=1e-3)
                 traj.append(p.data.copy())
             return traj
         for a, b in zip(run(), run()):
@@ -467,5 +469,23 @@ class TestAdam:
 
     def test_nonfinite_gradient_raises(self):
         p = ad.Tensor(np.zeros((1, 1)), requires_grad=True)
+        p.grad = np.array([[np.nan]])
         with pytest.raises(NumericalError):
-            ad.step_adam({"p": p}, {"p": np.array([[np.nan]])}, ad.AdamState())
+            ad.step_adam({"p": p}, ad.AdamState())
+
+    def test_step_clears_every_gradient(self):
+        params = {name: ad.Tensor(np.zeros((2, 2)), requires_grad=True) for name in "pq"}
+        for t in params.values():
+            t.grad = np.ones((2, 2))
+        ad.step_adam(params, ad.AdamState(), lr=0.1)
+        assert all(t.grad is None for t in params.values())
+
+    def test_parameter_without_gradient_is_left_alone(self):
+        p = ad.Tensor(np.zeros((1, 1)), requires_grad=True)
+        q = ad.Tensor(np.array([[3.0]]), requires_grad=True)
+        state = ad.AdamState()
+        p.grad = np.ones((1, 1))
+        ad.step_adam({"p": p, "q": q}, state, lr=0.1)
+        assert q.data[0, 0] == 3.0 and q.grad is None
+        assert "q" not in state.m and "q" not in state.v
+        assert "p" in state.m and p.data[0, 0] != 0.0

@@ -113,6 +113,10 @@ class TestReplayBackend:
         ("[1, 2]", "TypeError"),
         ('{"gen": 1, "op": "E2", "slot": 0, "text": 5}', "TypeError"),
         ('{"gen": 1, "op": "E2", "slot": 0, "text": ["a"]}', "TypeError"),
+        ('{"gen": 1.7, "op": "E1", "slot": true, "text": null}',
+         "ValueError: gen and slot must be JSON integers, got (1.7, 'E1', True)"),
+        ('{"gen": "1", "op": "E1", "slot": 0, "text": null}', "got ('1', 'E1', 0)"),
+        ('{"gen": 1, "op": "E1", "slot": 0.0, "text": null}', "got (1, 'E1', 0.0)"),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, line, cause):
         path = make_replay_file(tmp_path, full_replay_records(1, ops=("E1",), slots=1))

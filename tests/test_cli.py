@@ -10,7 +10,7 @@ import pytest
 
 from specsearch import cli, dsl, graphs, training
 
-from conftest import full_replay_records, make_replay_file
+from conftest import fake_blas, full_replay_records, make_replay_file
 
 
 @pytest.fixture
@@ -265,6 +265,16 @@ class TestXeval:
                 assert line.split(",")[col] == cell
         assert [line.split(",")[0] for line in lines[1:]] == ["gcn", "bad", "appnp"]
 
+    def test_blas_pin_held_across_datasets(self, dataset, tmp_path, monkeypatch):
+        d2 = tmp_path / "second.json"
+        graphs.save_dataset(graphs.gen_synthetic(70, 3, 0.2, 6.0, 8, 1.0, seed=12), d2)
+        calls = fake_blas(monkeypatch, 2)
+        monkeypatch.setattr(training, "_score_impl",
+                            lambda *args: training.FitResult("ok", fitness=0.5))
+        code = run(["xeval", "--datasets", f"{dataset},{d2}", "--mechanisms", "gcn",
+                    "--split", "30,20,50"])
+        assert code == 0 and calls == [1, 2]
+
     def test_empty_test_split_gives_empty_cells(self, dataset, capsys):
         code = run(["xeval", "--datasets", dataset, "--mechanisms", "gcn,appnp",
                     "--split", "0.5,0.5,0"])
@@ -330,6 +340,9 @@ class TestSearch:
         ({"seed_programs": "gcn"}, "'search.seed_programs' must be a list of strings"),
         ({"prompt_ops": ["E1", 2]}, "'search.prompt_ops' must be a list of strings"),
         ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed_programs": ["nope"]}, "seed_programs must name one or more builtin "
+                                      "programs, got ['nope']"),
+        ({"seed_programs": []}, "seed_programs must name one or more builtin programs"),
     ])
     def test_bad_search_config_is_usage_error(self, dataset, tmp_path, capsys,
                                               search_cfg, message):

@@ -118,6 +118,12 @@ class TestParser:
         b = dsl.parse("mechanism m { init { Z = X; } out { Y = Z; } }")
         assert dsl.print_program(a) == dsl.print_program(b)
 
+    @pytest.mark.parametrize("expr", ["X + X * X - (X - X)", "X - (X - X)", "X * (X * X)",
+                                      "(X + X) * X", "X / (X * X)"])
+    def test_printer_brackets_only_where_needed(self, expr):
+        text = f"mechanism m {{\n  init {{\n    Z = {expr};\n  }}\n  out {{\n    Y = Z;\n  }}\n}}\n"
+        assert dsl.print_program(dsl.parse(text)) == text
+
     @pytest.mark.parametrize("kind", NESTING_KINDS)
     def test_nesting_at_cap_prints_checks_and_compiles(self, kind):
         prog = dsl.parse(nested_program(kind, MAX_DEPTH))

@@ -11,7 +11,7 @@ from specsearch import bridge, dsl, graphs, search, training
 from specsearch.errors import SpecSearchError
 from specsearch.search import EliteArchive, Individual, SearchConfig
 
-from conftest import full_replay_records, make_replay_file, wrap_response
+from conftest import fake_blas, full_replay_records, make_replay_file, wrap_response
 
 
 def ind(i, fitness, gen=0, text=None):
@@ -349,6 +349,21 @@ class TestRunSearch:
         assert report.archive.members
         assert not any(hasattr(m, "test_accuracy") for m in report.archive.members)
 
+    def test_blas_pin_held_for_the_whole_run(self, search_env, tmp_path, monkeypatch):
+        g, split, tcfg = search_env
+        calls = fake_blas(monkeypatch, 2)
+        seen, real = [], training.evaluate_batch
+
+        def batch(*args, **kwargs):
+            seen.append(list(calls))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(training, "evaluate_batch", batch)
+        scfg = SearchConfig(generations=1, pool_size=4, seed=0)
+        path = make_replay_file(tmp_path, full_replay_records(1))
+        search.run_search(g, split, scfg, tcfg, bridge.ReplayBackend(path))
+        assert seen == [[1], [1]]        # the seeds' batch and generation 1's
+        assert calls == [1, 2]
+
     def test_zero_generations(self, search_env, tmp_path):
         g, split, tcfg = search_env
         scfg = SearchConfig(generations=0, pool_size=4, seed=0)
@@ -400,6 +415,8 @@ class TestSearchConfig:
         ("parallel_responses", 0, "parallel_responses must be at least 1"),
         ("archive_capacity", 0, "archive_capacity must be at least 1"),
         ("prompt_ops", ("E1", "E9"), "unknown prompt operator 'E9'"),
+        ("seed_programs", (), r"seed_programs must name one or more builtin programs, got \[\]"),
+        ("seed_programs", ("gcn", "nope"), r"seed_programs must .*, got \['gcn', 'nope'\]"),
     ])
     def test_value_no_run_can_use_is_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

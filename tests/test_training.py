@@ -16,7 +16,7 @@ from specsearch.dsl.parser import MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.errors import (CompileError, DslSyntaxError, NumericalError, ShapeMismatch,
                                SpecSearchError, UndeclaredIdentifier)
 
-from conftest import NESTING_KINDS, OVERSIZED_PROGRAM, nested_program
+from conftest import NESTING_KINDS, OVERSIZED_PROGRAM, fake_blas, nested_program
 
 
 LABEL_PROGRAM = """
@@ -95,6 +95,13 @@ class TestTrain:
         restored_acc = training.evaluate(asm, sep_graph, sep_split.val)
         assert restored_acc == max(metrics.val_accuracies)
         assert restored_acc == metrics.best_val_acc
+
+    def test_no_parameter_keeps_a_gradient(self, sep_graph, sep_split):
+        cfg = training.TrainConfig(max_epochs=5, patience=5, hidden=8, seed=0)
+        asm = training.build_assembly(dsl.builtin("gpr"), sep_graph, cfg)
+        training.train(asm, sep_graph, sep_split, cfg)
+        assert any(name.startswith("mech.") for name in asm.params)
+        assert all(t.grad is None for t in asm.params.values())
 
 
 class TestTrainConfig:
@@ -497,6 +504,20 @@ class TestBlasPin:
         with pytest.raises(RuntimeError, match="interrupted"):
             training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg, pool_size=1)
         assert seen == [1] and blas.get_num_threads() == 2
+
+    def test_nested_hold_changes_nothing(self, monkeypatch):
+        calls = fake_blas(monkeypatch, 2)
+        with training.one_blas_thread():
+            with training.one_blas_thread():
+                assert calls == [1]
+            assert calls == [1]
+        assert calls == [1, 2]
+
+    def test_hold_at_one_thread_sets_nothing(self, monkeypatch):
+        calls = fake_blas(monkeypatch, 1)
+        with training.one_blas_thread():
+            pass
+        assert calls == []
 
     def test_scores_when_nothing_resolves(self, sep_graph, sep_split, monkeypatch):
         monkeypatch.setattr(training, "blas_threads", lambda: None)
