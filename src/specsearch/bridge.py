@@ -165,6 +165,9 @@ class ReplayBackend:
                     key = (rec["gen"], rec["op"], rec["slot"])
                     if type(key[0]) is not int or type(key[2]) is not int:
                         raise ValueError(f"gen and slot must be JSON integers, got {key}")
+                    if min(key[0], key[2]) < 0 or key[1] not in PROMPT_OPS:
+                        raise ValueError(f"no search asks for {key}: gen and slot are at "
+                                         f"least 0, op one of {', '.join(PROMPT_OPS)}")
                     text = rec["text"]
                     if text is not None and not isinstance(text, str):
                         raise TypeError(f"text must be a string or null, got {text!r}")
@@ -202,6 +205,8 @@ class LiveBackend:
         self.base_url = self.base_url.rstrip("/")
         if self.max_concurrent < 1:
             raise ValueError(f"max_concurrent must be at least 1, got {self.max_concurrent}")
+        if not self.temperature >= 0:
+            raise ValueError(f"temperature must be at least 0, got {self.temperature}")
 
     def complete_one(self, request, generation, slot):
         headers = {"Content-Type": "application/json"}

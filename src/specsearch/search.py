@@ -19,20 +19,33 @@ from .errors import DslSyntaxError, MalformedResponse, SpecSearchError
 
 @dataclass
 class Individual:
+    """One candidate, from proposal to archive. `result` is its scoring outcome
+    (a malformed response's is `parse` from the start; a memo hit's is its source's)."""
     id: int
     ideas: str
     program_text: str
     origin: str                 # seed | E1 | E2 | C1
     generation_born: int
     fitness: float = None
-
-    def __post_init__(self):
-        if not self.program_text:
-            raise ValueError("program_text must be non-empty")
+    result: training.FitResult = None
+    memo_of: int = None
 
     @functools.cached_property
     def key(self):
         return dedup_key(self.program_text)
+
+    def record(self):
+        """The candidate's line in the run's logs; a memo hit spent nothing."""
+        res = self.result
+        rec = {"id": self.id, "op": self.origin, "status": res.status,
+               "fitness": res.fitness, "epochs_run": res.epochs_run,
+               "best_epoch": res.best_epoch, "wall_seconds": round(res.wall_seconds, 3),
+               # None, when no worker reported them, stays None
+               "cpu_seconds": res.cpu_seconds and round(res.cpu_seconds, 3),
+               "peak_rss_mb": res.peak_rss_mb and round(res.peak_rss_mb, 1)}
+        if self.memo_of is not None:
+            rec.update(wall_seconds=0.0, cpu_seconds=0.0, peak_rss_mb=0.0, memo_of=self.memo_of)
+        return rec
 
 
 def dedup_key(program_text):
@@ -138,40 +151,34 @@ _MACHINE_BOUND = ("timeout", "crash", "memory")
 
 
 def _score(candidates, archive, graph, split, train_cfg, pool_size, memo):
-    """Score unscored candidates, training each program key not in `memo` once,
-    and add the ok ones to `archive` in candidate order.
+    """Score the candidates without a result, training each program key not in
+    `memo` once, and add the ok ones to `archive` in candidate order.
 
-    `memo` maps a program's key (`Individual.key`) to (candidate id, FitResult)
-    of its first training in this search run; the graph, split and train
-    config are fixed for a run and training is deterministic per seed, so a
-    hit equals a retrain. Only the first candidate of each new key is sent.
-    Returns one record per candidate; a repeat carries its source's status and
-    fitness, `memo_of` the source id and its own wall_seconds, cpu_seconds and
-    peak_rss_mb of 0. A memo of None is a fresh one for this call alone.
+    `memo` maps a program's key (`Individual.key`) to the candidate of its first
+    training in this search run; the graph, split and train config are fixed
+    for a run and training is deterministic per seed, so a hit equals a
+    retrain. Only the first candidate of each new key is sent; a repeat takes
+    its source's result and names it in `memo_of`. No result keeps its test
+    accuracy. A memo of None is a fresh one for this call alone.
     """
     memo = {} if memo is None else memo
     batch = {}                              # key -> its first candidate
     for ind in candidates:
-        if ind.key not in memo:
+        if ind.result is None and ind.key not in memo:
             batch.setdefault(ind.key, ind)
     results = training.evaluate_batch([ind.program_text for ind in batch.values()],
                                       graph, split, train_cfg, pool_size=pool_size)
-    fresh = {key: (ind.id, res) for (key, ind), res in zip(batch.items(), results)}
-    memo.update((key, hit) for key, hit in fresh.items()
-                if hit[1].status not in _MACHINE_BOUND)
-    records = []
+    for ind, res in zip(batch.values(), results):
+        ind.result = replace(res, test_accuracy=None)
+        if res.status not in _MACHINE_BOUND:
+            memo[ind.key] = ind
     for ind in candidates:
-        source, res = fresh.get(ind.key) or memo[ind.key]
-        if source == ind.id:
-            fields = res.to_dict()
-        else:
-            spent = replace(res, wall_seconds=0.0, cpu_seconds=0.0, peak_rss_mb=0.0)
-            fields = {**spent.to_dict(), "memo_of": source}
-        records.append({"id": ind.id, "op": ind.origin, **fields})
-        if res.ok:
-            ind.fitness = res.fitness
+        if ind.result is None:
+            source = batch.get(ind.key) or memo[ind.key]
+            ind.result, ind.memo_of = source.result, source.id
+        if ind.result.ok:
+            ind.fitness = ind.result.fitness
             archive.add(ind)
-    return records
 
 
 def init_population(seed_names, graph, split, train_cfg,
@@ -185,13 +192,13 @@ def init_population(seed_names, graph, split, train_cfg,
                         origin="seed", generation_born=0)
              for i, name in enumerate(names)]
     archive = EliteArchive(capacity=capacity)
-    records = _score(seeds, archive, graph, split, train_cfg, pool_size, memo)
-    for name, rec in zip(names, records):
-        if rec["status"] != "ok" and log is not None:
-            log(f"seed {name!r} discarded ({rec['status']})")
+    _score(seeds, archive, graph, split, train_cfg, pool_size, memo)
+    for name, seed in zip(names, seeds):
+        if not seed.result.ok and log is not None:
+            log(f"seed {name!r} discarded ({seed.result.status})")
     if len(archive) == 0:
         raise SpecSearchError("all seed programs failed evaluation; cannot start search")
-    return archive, records
+    return archive, [seed.record() for seed in seeds]
 
 
 def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
@@ -219,28 +226,24 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
                                              request_info=request_info))
     responses = bridge.complete(requests, search_cfg.parallel_responses, backend,
                                 generation=gen_index)
-    malformed = []         # records of responses with no program to score
-    proposals = []
+    candidates = []        # in (request, slot) order, which is id order
     bridge_failed = skipped_slots
     for resp in responses:
         if resp.failed:
             bridge_failed += 1
             continue
-        cid = next_id
-        next_id += 1
         try:
-            ideas, program_text = bridge.parse_response(resp)
+            ideas, program_text, result = *bridge.parse_response(resp), None
         except MalformedResponse:
-            malformed.append({"id": cid, "op": resp.op_kind,
-                              **training.FitResult("parse").to_dict()})
-            continue
-        proposals.append(Individual(id=cid, ideas=ideas, program_text=program_text,
-                                    origin=resp.op_kind, generation_born=gen_index))
-    scored = _score(proposals, archive, graph, split, train_cfg, search_cfg.pool_size,
-                    memo)
+            ideas, program_text, result = "", "", training.FitResult("parse")
+        candidates.append(Individual(id=next_id, ideas=ideas, program_text=program_text,
+                                     origin=resp.op_kind, generation_born=gen_index,
+                                     result=result))
+        next_id += 1
+    _score(candidates, archive, graph, split, train_cfg, search_cfg.pool_size, memo)
     gen_log = {
         "gen": gen_index,
-        "candidates": sorted(malformed + scored, key=lambda rec: rec["id"]),
+        "candidates": [ind.record() for ind in candidates],
         "bridge_failed": bridge_failed,
         "best_fitness": archive.best.fitness,
         "archive_size": len(archive),

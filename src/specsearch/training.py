@@ -190,18 +190,6 @@ class FitResult:
     def ok(self):
         return self.status == "ok"
 
-    def to_dict(self):
-        return {"status": self.status,
-                "fitness": self.fitness, "epochs_run": self.epochs_run,
-                "best_epoch": self.best_epoch,
-                "wall_seconds": round(self.wall_seconds, 3),
-                "cpu_seconds": _round(self.cpu_seconds, 3),
-                "peak_rss_mb": _round(self.peak_rss_mb, 1)}
-
-
-def _round(value, digits):
-    return None if value is None else round(value, digits)
-
 
 # A discarded candidate's reason, by the class of the exception that ended it;
 # an exception of any other class is "internal".

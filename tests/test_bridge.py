@@ -117,6 +117,12 @@ class TestReplayBackend:
          "ValueError: gen and slot must be JSON integers, got (1.7, 'E1', True)"),
         ('{"gen": "1", "op": "E1", "slot": 0, "text": null}', "got ('1', 'E1', 0)"),
         ('{"gen": 1, "op": "E1", "slot": 0.0, "text": null}', "got (1, 'E1', 0.0)"),
+        ('{"gen": -3, "op": "E9", "slot": -1, "text": null}',
+         "ValueError: no search asks for (-3, 'E9', -1)"),
+        ('{"gen": 1, "op": 5, "slot": 0, "text": null}', "no search asks for (1, 5, 0)"),
+        ('{"gen": 1, "op": "e1", "slot": 0, "text": null}', "no search asks for (1, 'e1', 0)"),
+        ('{"gen": -1, "op": "E1", "slot": 0, "text": null}', "no search asks for (-1, 'E1', 0)"),
+        ('{"gen": 1, "op": "C1", "slot": -2, "text": null}', "no search asks for (1, 'C1', -2)"),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, line, cause):
         path = make_replay_file(tmp_path, full_replay_records(1, ops=("E1",), slots=1))
@@ -165,6 +171,14 @@ def http_server():
 
 
 class TestLiveBackend:
+    @pytest.mark.parametrize("temperature", [-1, -1e-9, float("nan")])
+    def test_temperature_no_call_can_use_is_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be at least 0"):
+            LiveBackend("http://localhost", "m", temperature=temperature)
+
+    def test_zero_temperature_is_accepted(self):
+        assert LiveBackend("http://localhost", "m", temperature=0).temperature == 0
+
     def test_success_and_isolated_failure(self, http_server, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         backend = LiveBackend(http_server, "test-model")

@@ -538,6 +538,9 @@ class TestSearch:
          "split.ratios needs three fractions (train, val, test), got 2"),
         ("split", {"ratios": [0.2, 0.2, 0.3, 0.3]},
          "split.ratios needs three fractions (train, val, test), got 4"),
+        ("backend", {"live": {"base_url": "http://localhost", "model": "m",
+                              "temperature": -1}},
+         "temperature must be at least 0, got -1"),
     ])
     def test_malformed_config_section_is_usage_error(self, dataset, tmp_path, capsys,
                                                      key, value, message):

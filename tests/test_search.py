@@ -88,6 +88,29 @@ class TestEliteArchive:
         assert [m.id for m in archive.members] == [3, 2]
 
 
+class TestRecord:
+    RESULT = training.FitResult("ok", fitness=0.5, epochs_run=7, best_epoch=3,
+                                wall_seconds=1.2344, cpu_seconds=2.3461, peak_rss_mb=70.06)
+
+    def test_trained_candidate_rounds_its_spend(self):
+        cand = Individual(id=2, ideas="", program_text="x", origin="E1",
+                          generation_born=1, result=self.RESULT)
+        rec = cand.record()
+        assert list(rec) == ["id", "op", "status", "fitness", "epochs_run", "best_epoch",
+                             "wall_seconds", "cpu_seconds", "peak_rss_mb"]
+        assert rec == {"id": 2, "op": "E1", "status": "ok", "fitness": 0.5, "epochs_run": 7,
+                       "best_epoch": 3, "wall_seconds": 1.234, "cpu_seconds": 2.346,
+                       "peak_rss_mb": 70.1}
+
+    def test_memo_hit_spent_nothing(self):
+        hit = Individual(id=9, ideas="", program_text="x", origin="C1", generation_born=2,
+                         result=self.RESULT, memo_of=2)
+        rec = hit.record()
+        assert list(rec)[-1] == "memo_of" and rec["memo_of"] == 2
+        assert (rec["id"], rec["op"], rec["fitness"], rec["epochs_run"]) == (9, "C1", 0.5, 7)
+        assert rec["wall_seconds"] == rec["cpu_seconds"] == rec["peak_rss_mb"] == 0.0
+
+
 class TestSelection:
     def test_e1_rank_partition(self):
         archive = filled_archive(30)
@@ -176,6 +199,13 @@ class TestRunGeneration:
         statuses = [c["status"] for c in gen_log["candidates"]]
         assert statuses.count("parse") == 3
         assert sum(1 for s in statuses if s == "ok") <= 9
+        # one id per response, in (request, slot) order: E1 takes 4-7, E2 8-11, C1 12-15
+        assert [c["id"] for c in gen_log["candidates"]] == list(range(4, 16))
+        malformed = [c for c in gen_log["candidates"] if c["id"] in (4, 5, 8)]
+        for rec in malformed:
+            assert rec["status"] == "parse" and rec["wall_seconds"] == 0.0
+            assert rec["cpu_seconds"] is None and rec["peak_rss_mb"] is None
+            assert "memo_of" not in rec
 
     def test_duplicate_candidate_not_duplicated(self, search_env, tmp_path):
         override = {(1, op, s): wrap_response(dsl.builtin("gcn"))
@@ -348,6 +378,9 @@ class TestRunSearch:
         report = search.run_search(g, split, scfg, tcfg, bridge.ReplayBackend(path))
         assert report.archive.members
         assert not any(hasattr(m, "test_accuracy") for m in report.archive.members)
+        assert all(m.result.test_accuracy is None for m in report.archive.members)
+        records = report.seed_records + report.generation_logs[0]["candidates"]
+        assert not any("test_accuracy" in r for r in records)
 
     def test_blas_pin_held_for_the_whole_run(self, search_env, tmp_path, monkeypatch):
         g, split, tcfg = search_env

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from specsearch import autodiff as ad
-from specsearch import dsl, graphs, training
+from specsearch import dsl, graphs, search, training
 from specsearch.dsl.parser import MAX_DEPTH, MAX_TEXT_CHARS
 from specsearch.errors import (CompileError, DslSyntaxError, NumericalError, ShapeMismatch,
                                SpecSearchError, UndeclaredIdentifier)
@@ -35,6 +35,12 @@ def score(text, graph, split, cfg):
     """One program through `evaluate_batch`, in one worker."""
     (res,) = training.evaluate_batch([text], graph, split, cfg, pool_size=1)
     return res
+
+
+def record(res):
+    """The log line of a candidate whose scoring gave `res`."""
+    return search.Individual(id=0, ideas="", program_text="", origin="seed",
+                             generation_born=0, result=res).record()
 
 
 def one_hot_graph(n=60, c=3, seed=0):
@@ -195,9 +201,9 @@ class TestScoring:
         assert 0.0 <= res.fitness <= 1.0
         assert res.epochs_run <= cfg.max_epochs
         assert res.cpu_seconds > 0 and res.peak_rss_mb > 1     # the worker's own usage
-        record = res.to_dict()
-        assert record["cpu_seconds"] == round(res.cpu_seconds, 3)
-        assert record["peak_rss_mb"] == round(res.peak_rss_mb, 1)
+        rec = record(res)
+        assert rec["cpu_seconds"] == round(res.cpu_seconds, 3)
+        assert rec["peak_rss_mb"] == round(res.peak_rss_mb, 1)
 
     def test_record_carries_best_epoch(self, scored_setup):
         g, split, cfg = scored_setup
@@ -206,13 +212,13 @@ class TestScoring:
         metrics = training.train(asm, g, split, cfg)
         assert 1 <= res.best_epoch <= res.epochs_run
         assert (res.best_epoch, res.epochs_run) == (metrics.best_epoch, metrics.epochs_run)
-        assert res.to_dict()["best_epoch"] == res.best_epoch
+        assert record(res)["best_epoch"] == res.best_epoch
 
     def test_unparseable_text(self, scored_setup):
         g, split, cfg = scored_setup
         res = score("not a program", g, split, cfg)
         assert res.status == "parse"
-        assert res.to_dict()["best_epoch"] == res.to_dict()["epochs_run"] == 0
+        assert record(res)["best_epoch"] == record(res)["epochs_run"] == 0
         assert 0 < res.wall_seconds < 1     # the front end's time, in this process
         assert res.cpu_seconds is None and res.peak_rss_mb is None
 
@@ -296,7 +302,7 @@ class TestScoring:
         res = score(OVERSIZED_PROGRAM, g, split, cfg)
         assert res.status == "timeout"
         assert res.wall_seconds < 6.0   # killed at the timeout
-        assert res.to_dict()["cpu_seconds"] is None and res.to_dict()["peak_rss_mb"] is None
+        assert record(res)["cpu_seconds"] is None and record(res)["peak_rss_mb"] is None
 
     def test_batch_preserves_order_and_isolation(self):
         g = graphs.gen_synthetic(120, 3, 0.8, 6.0, 8, 1.0, seed=2)
