@@ -110,7 +110,8 @@ class SplitSpec:
 
     def with_flag(self, flag):
         """This spec with a --split flag applied: `from-file` takes the stored
-        split, three fractions or percents replace the ratios."""
+        split, three fractions or percents replace the ratios. The numbers are
+        percents when one of them exceeds 1, and fractions otherwise."""
         if flag is None:
             return self
         if flag == "from-file":
@@ -121,7 +122,7 @@ class SplitSpec:
             parts = []
         if len(parts) != 3:
             raise UsageError(f"--split needs three comma-separated numbers, got {flag!r}")
-        if sum(parts) > 1.0 + 1e-9:
+        if any(p > 1 for p in parts):
             parts = [p / 100.0 for p in parts]
         return dataclasses.replace(self, ratios=tuple(parts), from_file=False)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import functools
+import gc
 import itertools
 import json
 import math
@@ -200,18 +202,24 @@ def prune_mean_std(graph, self_loop_weight, dtype=np.float64):
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train, val and test node indices, held as tuples. Whether a
-    split can be scored is decided by `training.check_split`."""
+    """Train, val and test node indices, held as tuples: no index repeats within
+    a part or appears in two parts. Whether a split can be scored is decided by
+    `training.check_split`."""
 
     train: tuple
     val: tuple
     test: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "train", tuple(self.train))
-        object.__setattr__(self, "val", tuple(self.val))
-        object.__setattr__(self, "test", tuple(self.test))
-        tr, va, te = set(self.train), set(self.val), set(self.test)
+        sets = []
+        for name in ("train", "val", "test"):
+            part = tuple(getattr(self, name))
+            object.__setattr__(self, name, part)
+            sets.append(set(part))
+            if len(sets[-1]) < len(part):
+                i = next(i for i, k in collections.Counter(part).items() if k > 1)
+                raise ValueError(f"split {name} repeats index {i}")
+        tr, va, te = sets
         if tr & va or tr & te or va & te:
             raise ValueError("split index sets overlap")
 
@@ -229,34 +237,29 @@ def make_split(n, ratios, labels=None, seed=0, stratified=False):
     if f_tr + f_va + f_te > 1 + 1e-12:
         raise ValueError("fractions must sum to at most 1")
     rng = np.random.default_rng(seed)
-    train, val, test = [], [], []
-    if stratified:
-        if labels is None:
-            raise ValueError("stratified split requires labels")
+    if not stratified:
+        groups = [rng.permutation(n)]
+    elif labels is None:
+        raise ValueError("stratified split requires labels")
+    else:
         labels = np.asarray(labels)
+        groups = []
         for cls in np.unique(labels):
             idx = np.flatnonzero(labels == cls)
             rng.shuffle(idx)
-            n_tr = int(math.floor(f_tr * idx.size))
-            n_va = int(math.floor(f_va * idx.size))
-            if n_tr == 0:
+            if math.floor(f_tr * idx.size) == 0:
                 raise StratificationInfeasible(
                     f"class {cls} has {idx.size} nodes; train fraction {f_tr} yields 0 samples")
-            train.extend(idx[:n_tr])
-            val.extend(idx[n_tr:n_tr + n_va])
-            if f_te > 0:
-                test.extend(idx[n_tr + n_va:])
-    else:
-        idx = rng.permutation(n)
-        n_tr = int(math.floor(f_tr * n))
-        n_va = int(math.floor(f_va * n))
-        train = idx[:n_tr]
-        val = idx[n_tr:n_tr + n_va]
-        if f_te > 0:
-            test = idx[n_tr + n_va:]
-    return Split(sorted(int(i) for i in train),
-                 sorted(int(i) for i in val),
-                 sorted(int(i) for i in test))
+            groups.append(idx)
+    # each group's train, val and leftover pieces; the empty first piece keeps
+    # np.concatenate defined when there is no group (stratified, no labels)
+    parts = ([np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)])
+    for idx in groups:
+        n_tr, n_va = math.floor(f_tr * idx.size), math.floor(f_va * idx.size)
+        for part, piece in zip(parts, np.split(idx, [n_tr, n_tr + n_va])):
+            part.append(piece)
+    train, val, test = (np.sort(np.concatenate(p)).tolist() for p in parts)
+    return Split(train, val, test if f_te > 0 else ())
 
 
 def gen_synthetic(n, classes, homophily, avg_degree, feature_dim, signal, seed):
@@ -357,6 +360,28 @@ def save_dataset(graph, path):
 
 
 def load_dataset(path):
+    """The `Graph` stored at `path` by `save_dataset`, its stored split attached;
+    a file that is not such a dataset is a DatasetFormatError saying where.
+
+    The cyclic collector is paused for the whole load (it is process-wide, and
+    no other thread runs while a dataset loads). The parsed document is a tree
+    of lists, dicts and scalars, so it cannot form a reference cycle, yet every
+    list the parser builds counts towards a collection: on an edge-heavy file
+    the collector would sweep the growing document over and over and free
+    nothing. The prior state is restored after `_load_dataset` returns, when
+    the document is already dropped; a document still alive when the collector
+    restarts would be swept once more in full (as on the error path, where the
+    traceback keeps it)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_dataset(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_dataset(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_constant=_reject_special)

@@ -77,12 +77,22 @@ class TestUsage:
         ("a,b,c", "--split needs three comma-separated numbers"),
         ("0.5,-0.2,0.3", "fractions must be non-negative"),
         ("0,0.5,0.5", "train fraction 0.0 yields 0 samples"),   # stratified
+        ("0.6,0.3,0.2", "fractions must sum to at most 1"),     # not 0.6 %, 0.3 %, 0.2 %
+        ("1,1,1", "fractions must sum to at most 1"),
     ])
     def test_bad_split_values(self, dataset, capsys, split, message):
         assert run(["eval", "--dataset", dataset, "--mechanism", "gcn",
                     "--split", split]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
+
+    @pytest.mark.parametrize("split, ratios", [
+        ("30,20,50", (0.3, 0.2, 0.5)), ("2.5,2.5,95", (0.025, 0.025, 0.95)),
+        ("10,10,10", (0.1, 0.1, 0.1)), ("0.3,0.2,0.5", (0.3, 0.2, 0.5)),
+        ("1,0,0", (1.0, 0.0, 0.0)),
+    ])
+    def test_split_flag_is_percents_when_a_number_exceeds_1(self, split, ratios):
+        assert cli.SplitSpec().with_flag(split).ratios == ratios
 
     @pytest.mark.parametrize("split", ["0.5,0,0.5", "from-file"])
     def test_split_without_validation_is_usage_error(self, no_val_dataset, capsys, split):

@@ -1,5 +1,6 @@
 """Graph container, operators, splits, synthetic generation, and dataset I/O."""
 
+import gc
 import json
 
 import numpy as np
@@ -305,6 +306,34 @@ class TestSplit:
         with pytest.raises(ValueError):
             graphs.Split((0, 1), (1, 2), (3,))
 
+    @pytest.mark.parametrize("parts, name", [
+        (((0, 0, 1), (2,), ()), "train"), (((0,), (1, 2, 1), ()), "val"),
+        (((0,), (1,), (2, 3, 3)), "test"),
+    ])
+    def test_split_rejects_a_repeated_index(self, parts, name):
+        with pytest.raises(ValueError, match=f"split {name} repeats index"):
+            graphs.Split(*parts)
+
+    # Exact splits for fixed inputs: the RNG calls, their order and the cut of
+    # each group are fixed, so a seed redraws the same split across versions.
+    @pytest.mark.parametrize("args, kwargs, expected", [
+        ((14, (0.25, 0.25, 0.5)),
+         dict(labels=[0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 1], seed=5, stratified=True),
+         ((2, 4, 9), (3, 11, 12), (0, 1, 5, 6, 7, 8, 10, 13))),
+        ((10, (0.3, 0.2, 0.5)), dict(seed=7),
+         ((0, 7, 8), (1, 3), (2, 4, 5, 6, 9))),
+        ((10, (0.4, 0.3, 0.0)), dict(seed=2),
+         ((0, 2, 6, 7), (3, 5, 9), ())),
+        ((14, (0.5, 0.25, 0.0)),
+         dict(labels=[0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 1, 1], seed=1, stratified=True),
+         ((0, 1, 3, 4, 8, 10, 11), (5, 6, 12), ())),
+        ((0, (0.5, 0.25, 0.0)), dict(labels=[], seed=1, stratified=True), ((), (), ())),
+    ], ids=["stratified", "unstratified", "no-test", "stratified-no-test", "stratified-empty"])
+    def test_pinned_split_values(self, args, kwargs, expected):
+        s = graphs.make_split(*args, **kwargs)
+        assert (s.train, s.val, s.test) == expected
+        assert all(type(i) is int for part in expected for i in part)
+
 
 class TestGenSynthetic:
     def test_full_homophily_has_no_interclass_edges(self):
@@ -411,6 +440,7 @@ class TestDatasetIO:
         ("feature_dim", None), ("feature_dim", -1),
         ("splits", 5), ("splits", {"train": 5, "val": [1], "test": [2]}),
         ("splits", {"train": [True], "val": [0], "test": [2]}),
+        ("splits", {"train": [0, 0, 1], "val": [2], "test": []}),
     ])
     def test_rejects_malformed_field(self, tmp_path, field, value):
         path = tmp_path / "bad.json"
@@ -444,6 +474,27 @@ class TestDatasetIO:
         path.write_text(json.dumps(dict(VALID_DOC, labels=labels)))
         with pytest.raises(DatasetFormatError, match=locus):
             graphs.load_dataset(path)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("text, error", [
+        (json.dumps(VALID_DOC), None),
+        ('{"name": "x", "num_nodes": 3,', "malformed JSON"),
+        (json.dumps(dict(VALID_DOC, edges=[[0, 7]])), r"edges\[0\]"),
+    ], ids=["good", "malformed-json", "bad-edge"])
+    def test_leaves_the_cyclic_collector_as_it_found_it(self, tmp_path, enabled, text, error):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                graphs.load_dataset(path)
+            else:
+                with pytest.raises(DatasetFormatError, match=error):
+                    graphs.load_dataset(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_integer_features_load_as_float64(self, tmp_path):
         path = tmp_path / "int.json"
