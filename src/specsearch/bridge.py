@@ -8,7 +8,7 @@ import re
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dsl.parser import K_MAX
 from .errors import MalformedResponse, SpecSearchError
@@ -65,92 +65,41 @@ _OP_INSTRUCTIONS = {
 PROMPT_OPS = tuple(_OP_INSTRUCTIONS)
 
 
-@dataclass(frozen=True)
-class PromptRequest:
-    op_kind: str
-    basic_content: str
-    embedded_individuals: tuple   # of (ideas, program_text, fitness)
-    request_info: str
-
-    def __post_init__(self):
-        if self.op_kind not in PROMPT_OPS:
-            raise ValueError(f"unknown prompt operator {self.op_kind!r}")
-        if CLOSING_SENTENCE not in self.request_info:
-            raise ValueError(f"request_info must contain {CLOSING_SENTENCE!r}")
-
-
-@dataclass(frozen=True)
-class LlmResponse:
-    text: str        # None marks a bridge failure for this slot
-    op_kind: str
-    slot: int
-    generation: int
-
-    @property
-    def failed(self):
-        return self.text is None
-
-
-def default_basic_content(graph):
-    return (
+def render_prompt(op_kind, members, graph, hidden):
+    """The prompt text of one operator invocation on `graph`, embedding the
+    archive `members` (C1: the better one, then the worse one) by their ideas,
+    program text and fitness, for mechanisms of hidden size `hidden`."""
+    parts = [
         "You are designing the propagation mechanism of a spectral graph neural "
-        "network for transductive node classification.\n"
+        "network for transductive node classification.",
         f"The graph is named {graph.name!r}: {graph.num_nodes} nodes, "
         f"{len(graph.edges)} undirected edges, {graph.num_features} input "
-        f"features per node, {graph.num_classes} classes.\n"
+        f"features per node, {graph.num_classes} classes.",
         "Tips: low-pass filters (smoothing over neighbors) suit graphs where "
         "linked nodes share labels; high-pass filters (differences against "
         "neighbors) suit graphs where linked nodes differ; residual connections "
-        "to the raw features often stabilize deep propagation.\n")
-
-
-def default_request_info(hidden):
-    return (
+        "to the raw features often stabilize deep propagation.",
+        ""]
+    for i, m in enumerate(members):
+        if op_kind == "C1":
+            label = ("higher-score", "lower-score")[i]
+            parts.append(f"Mechanism ({label}, validation score {m.fitness:.4f}):")
+        else:
+            parts.append(f"Existing mechanism {i + 1}:")
+        parts += [m.ideas.strip(), "```", m.program_text.strip(), "```", ""]
+    parts += [
+        _OP_INSTRUCTIONS[op_kind], "", GRAMMAR_SUMMARY.rstrip(), "",
         f"Requirements: the mechanism receives X and X_raw of shape n x h with "
         f"h = {hidden}, and must output Y of shape n x h or n x c. Declare every "
         "parameter you use. Reply with the design-ideas description followed by "
         "exactly one triple-backtick fenced code block containing only the "
-        "mechanism. "
-        f"{CLOSING_SENTENCE}")
-
-
-def render_prompt(req):
-    """Deterministic prompt text for one operator invocation."""
-    inds = req.embedded_individuals
-    if req.op_kind == "C1":
-        if len(inds) != 2:
-            raise SpecSearchError(f"C1 embeds exactly 2 individuals, got {len(inds)}")
-    elif not inds:
-        raise SpecSearchError(f"{req.op_kind} needs at least one embedded individual")
-    parts = [req.basic_content.rstrip(), ""]
-    if req.op_kind == "C1":
-        labels = ("higher-score", "lower-score")
-        for (ideas, text, fitness), label in zip(inds, labels):
-            parts.append(f"Mechanism ({label}, validation score {fitness:.4f}):")
-            parts.append(ideas.strip())
-            parts.append("```")
-            parts.append(text.strip())
-            parts.append("```")
-            parts.append("")
-    else:
-        for i, (ideas, text, _fitness) in enumerate(inds, 1):
-            parts.append(f"Existing mechanism {i}:")
-            parts.append(ideas.strip())
-            parts.append("```")
-            parts.append(text.strip())
-            parts.append("```")
-            parts.append("")
-    parts.append(_OP_INSTRUCTIONS[req.op_kind])
-    parts.append("")
-    parts.append(GRAMMAR_SUMMARY.rstrip())
-    parts.append("")
-    parts.append(req.request_info.strip())
+        f"mechanism. {CLOSING_SENTENCE}"]
     return "\n".join(parts) + "\n"
 
 
 class ReplayBackend:
     """Scripted responses read from a JSONL file, keyed by (generation, op,
-    slot); missing keys are fatal."""
+    slot); missing keys are fatal. The prompt is not read."""
 
     max_concurrent = 1
 
@@ -179,8 +128,8 @@ class ReplayBackend:
                     raise SpecSearchError(f"duplicate replay key {key}")
                 self.records[key] = text
 
-    def complete_one(self, request, generation, slot):
-        key = (generation, request.op_kind, slot)
+    def complete_one(self, op_kind, prompt, generation, slot):
+        key = (generation, op_kind, slot)
         if key not in self.records:
             raise SpecSearchError(f"replay script has no record for {key}")
         return self.records[key]
@@ -208,14 +157,14 @@ class LiveBackend:
         if not self.temperature >= 0:
             raise ValueError(f"temperature must be at least 0, got {self.temperature}")
 
-    def complete_one(self, request, generation, slot):
+    def complete_one(self, op_kind, prompt, generation, slot):
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.API_KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         body = json.dumps({
             "model": self.model,
-            "messages": [{"role": "user", "content": render_prompt(request)}],
+            "messages": [{"role": "user", "content": prompt}],
             "n": 1,
             "temperature": self.temperature,
         }).encode()
@@ -235,26 +184,24 @@ class LiveBackend:
         return None
 
 
-def complete(requests, parallelism, backend, generation=0):
-    """`parallelism` completions per request, returned in (request, slot) order;
+def complete(prompts, parallelism, backend, generation=0):
+    """`parallelism` completions of each (op_kind, prompt) pair, returned as
+    (op_kind, text) in (prompt, slot) order; a text of None is a failed call.
     `backend.max_concurrent` calls run at a time."""
-    jobs = [(slot, req) for req in requests for slot in range(parallelism)]
+    jobs = [(op_kind, prompt, slot) for op_kind, prompt in prompts
+            for slot in range(parallelism)]
     with ThreadPoolExecutor(max_workers=backend.max_concurrent) as pool:
-        futures = [pool.submit(backend.complete_one, req, generation, slot)
-                   for slot, req in jobs]
-    return [LlmResponse(text=fut.result(), op_kind=req.op_kind,
-                        slot=slot, generation=generation)
-            for (slot, req), fut in zip(jobs, futures)]
+        futures = [pool.submit(backend.complete_one, op_kind, prompt, generation, slot)
+                   for op_kind, prompt, slot in jobs]
+    return [(op_kind, fut.result()) for (op_kind, _, _), fut in zip(jobs, futures)]
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
 
-def parse_response(resp):
-    """Split a response into (ideas, program_text); raises MalformedResponse."""
-    if resp.failed:
-        raise MalformedResponse("bridge_failure")
-    blocks = _FENCE_RE.findall(resp.text)
+def parse_response(text):
+    """Split a reply's text into (ideas, program_text); raises MalformedResponse."""
+    blocks = _FENCE_RE.findall(text)
     if len(blocks) == 0:
         raise MalformedResponse("no_code")
     if len(blocks) > 1:
@@ -262,5 +209,5 @@ def parse_response(resp):
     program_text = blocks[0].strip()
     if not program_text:
         raise MalformedResponse("empty_code")
-    ideas = resp.text.split("```", 1)[0].strip()
+    ideas = text.split("```", 1)[0].strip()
     return ideas, program_text

@@ -231,9 +231,8 @@ def make_split(n, ratios, labels=None, seed=0, stratified=False):
     positive, every leftover node lands in test.
     """
     f_tr, f_va, f_te = ratios
-    for f in (f_tr, f_va, f_te):
-        if f < 0:
-            raise ValueError("fractions must be non-negative")
+    if not all(0 <= f for f in ratios):           # NaN fails too
+        raise ValueError(f"fractions must be non-negative numbers, got {list(ratios)}")
     if f_tr + f_va + f_te > 1 + 1e-12:
         raise ValueError("fractions must sum to at most 1")
     rng = np.random.default_rng(seed)
@@ -272,10 +271,10 @@ def gen_synthetic(n, classes, homophily, avg_degree, feature_dim, signal, seed):
         raise ValueError("classes must be at least 1")
     if n < classes:
         raise ValueError("need n >= classes")
-    if avg_degree <= 0:
-        raise ValueError("avg_degree must be > 0")
     if not 0.0 <= homophily <= 1.0:
         raise ValueError("homophily must lie in [0, 1]")
+    if not 0 < avg_degree <= n - 1:              # NaN fails too
+        raise ValueError(f"avg_degree must lie in (0, n - 1] = (0, {n - 1}], got {avg_degree}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     rng.shuffle(labels)

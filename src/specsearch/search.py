@@ -113,6 +113,10 @@ class SearchConfig:
         for op in self.prompt_ops:
             if op not in bridge.PROMPT_OPS:
                 raise ValueError(f"unknown prompt operator {op!r}")
+        # a replay record is keyed by (gen, op, slot): an op asked twice is ambiguous
+        if not self.prompt_ops or len(set(self.prompt_ops)) < len(self.prompt_ops):
+            raise ValueError(f"prompt_ops must name one or more distinct prompt operators, "
+                             f"got {list(self.prompt_ops)}")
         if not self.seed_programs or not set(self.seed_programs) <= set(builtin_names()):
             raise ValueError(f"seed_programs must name one or more builtin programs, "
                              f"got {list(self.seed_programs)}")
@@ -208,36 +212,29 @@ def run_generation(archive, backend, graph, split, train_cfg, search_cfg,
     `memo` is the run's fitness memo (see `_score`); None uses a fresh one.
     Returns (generation_log_dict, next_id).
     """
-    basic = bridge.default_basic_content(graph)
-    request_info = bridge.default_request_info(train_cfg.hidden)
-    requests = []
-    skipped_slots = 0
+    prompts = []
+    bridge_failed = 0      # a skipped or failed call
     for op in search_cfg.prompt_ops:
         if op == "C1" and len(archive) < 2:
-            skipped_slots += search_cfg.parallel_responses
+            bridge_failed += search_cfg.parallel_responses
             if log is not None:
                 log(f"gen {gen_index}: C1 skipped (archive of {len(archive)})")
             continue
         P = {"E1": search_cfg.P1, "E2": search_cfg.P2, "C1": 2}[op]
         chosen = select_for_prompt(archive, op, P, rng)
-        embedded = tuple((m.ideas, m.program_text, m.fitness) for m in chosen)
-        requests.append(bridge.PromptRequest(op_kind=op, basic_content=basic,
-                                             embedded_individuals=embedded,
-                                             request_info=request_info))
-    responses = bridge.complete(requests, search_cfg.parallel_responses, backend,
-                                generation=gen_index)
-    candidates = []        # in (request, slot) order, which is id order
-    bridge_failed = skipped_slots
-    for resp in responses:
-        if resp.failed:
+        prompts.append((op, bridge.render_prompt(op, chosen, graph, train_cfg.hidden)))
+    candidates = []        # in (prompt, slot) order, which is id order
+    for op, text in bridge.complete(prompts, search_cfg.parallel_responses, backend,
+                                    generation=gen_index):
+        if text is None:
             bridge_failed += 1
             continue
         try:
-            ideas, program_text, result = *bridge.parse_response(resp), None
+            ideas, program_text, result = *bridge.parse_response(text), None
         except MalformedResponse:
             ideas, program_text, result = "", "", training.FitResult("parse")
         candidates.append(Individual(id=next_id, ideas=ideas, program_text=program_text,
-                                     origin=resp.op_kind, generation_born=gen_index,
+                                     origin=op, generation_born=gen_index,
                                      result=result))
         next_id += 1
     _score(candidates, archive, graph, split, train_cfg, search_cfg.pool_size, memo)

@@ -34,6 +34,9 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 WORKER_MMAP_THRESHOLD = 32 * 2**20
 WORKER_TRIM_THRESHOLD = 2**30
 
+# Bytes of physical memory: no program whose live arrays exceed it is trained.
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 # `ru_maxrss` is in KiB on Linux and in bytes on macOS.
 _MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10
 
@@ -117,10 +120,23 @@ class ModelAssembly:
 
 
 def lower(program_text, graph, cfg):
-    """The front end: parse a program and lower it for this graph and config."""
+    """The front end: parse a program and lower it for this graph and config.
+
+    A program that cannot fit in physical memory raises MemoryError, so it
+    starts no worker. The measure is a lower bound on what a forward pass keeps
+    live: every parameter and every op's output, in the config's dtype
+    (`CompiledMechanism.forward` holds each slot until it returns).
+    """
     dims = {"n": graph.num_nodes, "f": graph.num_features,
             "h": cfg.hidden, "c": graph.num_classes}
-    return dsl.check_shapes(dsl.parse(program_text), dims)
+    typed = dsl.check_shapes(dsl.parse(program_text), dims)
+    elements = (sum(math.prod(shape) for _, _, shape, _ in typed.params)
+                + sum(math.prod(op.shape) for op in typed.ops))
+    need = elements * np.dtype(cfg.dtype).itemsize
+    if need > PHYSICAL_MEMORY:
+        raise MemoryError(f"the program keeps at least {need / 2**30:.1f} GiB live, "
+                          f"past the {PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory")
+    return typed
 
 
 def build_assembly(program_text, graph, cfg):

@@ -79,6 +79,9 @@ class TestUsage:
         ("0,0.5,0.5", "train fraction 0.0 yields 0 samples"),   # stratified
         ("0.6,0.3,0.2", "fractions must sum to at most 1"),     # not 0.6 %, 0.3 %, 0.2 %
         ("1,1,1", "fractions must sum to at most 1"),
+        ("0.2,0.2,nan", "fractions must be non-negative numbers, got [0.2, 0.2, nan]"),
+        ("nan,0.2,0.2", "fractions must be non-negative numbers, got [nan, 0.2, 0.2]"),
+        ("20,nan,20", "fractions must be non-negative numbers, got [0.2, nan, 0.2]"),
     ])
     def test_bad_split_values(self, dataset, capsys, split, message):
         assert run(["eval", "--dataset", dataset, "--mechanism", "gcn",
@@ -168,6 +171,20 @@ class TestGenData:
                     "--classes", "3"]) == 1
         assert capsys.readouterr().err.startswith("usage error: need n >= classes")
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("degree", ["inf", "nan", "10", "0"])
+    def test_degree_no_graph_can_have_is_usage_error(self, tmp_path, capsys, degree):
+        assert run(["gen-data", "--out", tmp_path / "x.json", "--n", "10",
+                    "--avg-degree", degree]) == 1
+        assert capsys.readouterr().err == (f"usage error: avg_degree must lie in "
+                                           f"(0, n - 1] = (0, 9], got {float(degree)}\n")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_complete_graph_degree_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["gen-data", "--out", out, "--n", "10", "--classes", "1",
+                    "--avg-degree", "9"]) == 0
+        assert len(graphs.load_dataset(out).edges) == 45
 
     @pytest.mark.parametrize("classes", ["0", "-1"])
     def test_no_classes_is_usage_error(self, tmp_path, capsys, classes):
@@ -353,6 +370,10 @@ class TestSearch:
         ({"seed_programs": ["nope"]}, "seed_programs must name one or more builtin "
                                       "programs, got ['nope']"),
         ({"seed_programs": []}, "seed_programs must name one or more builtin programs"),
+        ({"prompt_ops": []}, "prompt_ops must name one or more distinct prompt operators, "
+                             "got []"),
+        ({"prompt_ops": ["E1", "C1", "E1"]}, "prompt_ops must name one or more distinct "
+                                             "prompt operators, got ['E1', 'C1', 'E1']"),
     ])
     def test_bad_search_config_is_usage_error(self, dataset, tmp_path, capsys,
                                               search_cfg, message):

@@ -302,6 +302,14 @@ class TestSplit:
             graphs.make_split(100, (0.025, 0.025, 0.95), labels=labels,
                               seed=0, stratified=True)
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("ratios", [(float("nan"), 0.2, 0.2), (0.2, float("nan"), 0.2),
+                                        (0.2, 0.2, float("nan"))])
+    def test_nan_fraction_is_rejected(self, ratios, stratified):
+        with pytest.raises(ValueError, match=r"fractions must be non-negative numbers, "
+                                             r"got \[.*nan.*\]"):
+            graphs.make_split(10, ratios, labels=[0, 1] * 5, seed=0, stratified=stratified)
+
     def test_split_sets_disjoint_invariant(self):
         with pytest.raises(ValueError):
             graphs.Split((0, 1), (1, 2), (3,))

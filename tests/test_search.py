@@ -450,6 +450,9 @@ class TestSearchConfig:
         ("prompt_ops", ("E1", "E9"), "unknown prompt operator 'E9'"),
         ("seed_programs", (), r"seed_programs must name one or more builtin programs, got \[\]"),
         ("seed_programs", ("gcn", "nope"), r"seed_programs must .*, got \['gcn', 'nope'\]"),
+        ("prompt_ops", (), r"prompt_ops must name one or more distinct prompt operators, "
+                           r"got \[\]"),
+        ("prompt_ops", ("E1", "E1"), r"distinct prompt operators, got \['E1', 'E1'\]"),
     ])
     def test_value_no_run_can_use_is_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -350,6 +350,36 @@ class TestFrontEnd:
             assert 0 < res.wall_seconds < 1
             assert res.cpu_seconds is None and res.peak_rss_mb is None
 
+    @pytest.mark.parametrize("float64", [False, True])
+    def test_memory_bound_counts_parameters_and_op_outputs(self, sep_graph, float64,
+                                                           monkeypatch):
+        cfg = training.TrainConfig(hidden=8, float64=float64)
+        typed = training.lower(LABEL_PROGRAM, sep_graph, cfg)
+        n = sep_graph.num_nodes
+        # W[1], W[2] (8 x 8); spmm and @ per step, each n x 8
+        need = (2 * 8 * 8 + 4 * n * 8) * (8 if float64 else 4)
+        monkeypatch.setattr(training, "PHYSICAL_MEMORY", need)
+        assert training.lower(LABEL_PROGRAM, sep_graph, cfg).ops == typed.ops
+        monkeypatch.setattr(training, "PHYSICAL_MEMORY", need - 1)
+        with pytest.raises(MemoryError, match="physical memory"):
+            training.lower(LABEL_PROGRAM, sep_graph, cfg)
+
+    @pytest.mark.parametrize("text", [
+        dsl.builtin("gcn"),
+        "mechanism m { params { V: matrix(65536, 65536) = glorot; } "
+        "init { Z = X; } out { Y = Z; } }",
+    ])
+    def test_program_past_physical_memory_starts_no_process(self, sep_graph, sep_split,
+                                                            monkeypatch, text):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+        monkeypatch.setattr(mp.get_context("fork"), "Process", no_process)
+        monkeypatch.setattr(training, "PHYSICAL_MEMORY", 2**10)
+        cfg = training.TrainConfig(max_epochs=1, patience=1, hidden=8)
+        results = training.evaluate_batch([text, text], sep_graph, sep_split, cfg,
+                                          pool_size=2)
+        assert [r.status for r in results] == ["memory", "memory"]
+
     def test_only_lowered_programs_reach_the_worker(self, sep_graph, sep_split, monkeypatch):
         monkeypatch.setattr(training, "_score_impl",
                             lambda typed, *args: training.FitResult("ok", fitness=len(typed.ops)))
