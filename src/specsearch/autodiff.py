@@ -17,6 +17,7 @@ it sweeps it, so a tape can be swept once.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericalError, ShapeMismatch
 
@@ -209,8 +210,10 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
     """Neighborhood attention: out_i = sum_j softmax_j(lrelu(s_src_i + s_dst_j)) * x_j.
 
     Neighborhoods come from the nonzero pattern of `adj`; isolated nodes get zero rows.
+    The weights form a CSR matrix over that pattern, so the neighbour sum and its
+    gradient are the CSR products that spmm computes.
     """
-    n = adj.rows
+    n = adj.csr.shape[0]
     # Indexing by the edge list would silently accept oversized scores or
     # features, so these shapes are checked here as well as in the front end;
     # like numpy's own shape errors, a failure is an engine fault (ValueError).
@@ -219,7 +222,7 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
             f"edge_attn_agg: scores must be {n}x1, got {scores_src.shape} and {scores_dst.shape}")
     if x.shape[0] != n:
         raise ValueError(f"edge_attn_agg: features must have {n} rows, got {x.shape}")
-    r, c = adj.coords
+    r, c = np.repeat(np.arange(n), np.diff(adj.csr.indptr)), adj.csr.indices
     e_raw = scores_src.data[r, 0] + scores_dst.data[c, 0]
     e, dlrelu = _leaky_relu(e_raw)
     dtype = x.data.dtype
@@ -229,14 +232,10 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
     ez = np.exp(e - safe_max[r])
     denom = np.bincount(r, weights=ez, minlength=n).astype(dtype)  # bincount sums in float64
     alpha = ez / denom[r]
-    y = np.zeros((n, x.shape[1]), dtype=dtype)
-    np.add.at(y, r, alpha[:, None] * x.data[c])
+    weights = sp.csr_matrix((alpha, c, adj.csr.indptr), (n, n))
 
     def vjp(g):
-        gs = gd = gx = None
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, c, alpha[:, None] * g[r])
+        gs = gd = None
         if scores_src.requires_grad or scores_dst.requires_grad:
             dalpha = (g[r] * x.data[c]).sum(axis=1)
             srow = np.bincount(r, weights=alpha * dalpha, minlength=n).astype(dtype)
@@ -247,8 +246,8 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
             if scores_dst.requires_grad:
                 gd = np.zeros_like(scores_dst.data)
                 np.add.at(gd[:, 0], c, de)
-        return gs, gd, gx
-    return Tensor(y, parents=(scores_src, scores_dst, x), vjp=vjp)
+        return gs, gd, weights.T @ g if x.requires_grad else None
+    return Tensor(weights @ x.data, parents=(scores_src, scores_dst, x), vjp=vjp)
 
 
 def backward(loss):

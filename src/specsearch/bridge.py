@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import textwrap
 import time
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .dsl.corpus import builtin
 from .dsl.parser import K_MAX
 from .errors import MalformedResponse, SpecSearchError
 
@@ -38,14 +41,8 @@ indexed W[k]. The output Y must be n x h or n x c.
 Worked example (your reply should wrap the mechanism in a single
 triple-backtick fenced block):
 
-    mechanism appnp {
-      consts { K = 4; alpha = 0.1; }
-      graph { Ahat = sym_norm(c=1); }
-      init { Z = X; }
-      step { Z = (1 - alpha) * spmm(Ahat, Z) + alpha * X; }
-      out { Y = Z; }
-    }
-""" % K_MAX
+%s
+""" % (K_MAX, textwrap.indent(builtin("appnp"), "    "))
 
 _OP_INSTRUCTIONS = {
     "E1": ("Design a new spectral GNN propagation mechanism that is completely "
@@ -151,6 +148,9 @@ class LiveBackend:
     max_concurrent: int = 4
 
     def __post_init__(self):
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
         self.base_url = self.base_url.rstrip("/")
         if self.max_concurrent < 1:
             raise ValueError(f"max_concurrent must be at least 1, got {self.max_concurrent}")

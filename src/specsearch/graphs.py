@@ -123,19 +123,10 @@ class SparseOp:
     column indices sorted within each row, no duplicate coordinates, no stored
     zeros, finite weights. The constructor takes such a matrix as it is
     (`build_operator` makes them) and copies nothing.
-
-    `coords` are the (row, col) int64 arrays of the stored entries in CSR order,
-    built on first use.
     """
 
     def __init__(self, csr):
         self.csr = csr
-        self.rows, self.cols = csr.shape
-
-    @functools.cached_property
-    def coords(self):
-        row = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.csr.indptr))
-        return row, self.csr.indices.astype(np.int64)
 
     def to_dense(self):
         return self.csr.toarray()
@@ -315,9 +306,10 @@ class SpectrumReport:
 
 def eig_operator(op):
     """Dense eigendecomposition oracle for small symmetric operators (n <= 512)."""
-    if op.rows != op.cols:
+    rows, cols = op.csr.shape
+    if rows != cols:
         raise ValueError("operator must be square")
-    if op.rows > 512:
+    if rows > 512:
         raise ValueError("eig_operator is a desk-scale oracle: n <= 512")
     dense = op.to_dense()
     if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-9:

@@ -37,6 +37,9 @@ WORKER_TRIM_THRESHOLD = 2**30
 # Bytes of physical memory: no program whose live arrays exceed it is trained.
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
+# The longest timeout, in seconds, that `connection.wait` can poll: 2**31 - 1 ms.
+TIMEOUT_MAX = 2147483
+
 # `ru_maxrss` is in KiB on Linux and in bytes on macOS.
 _MAXRSS_PER_MIB = 2**20 if sys.platform == "darwin" else 2**10
 
@@ -58,6 +61,9 @@ class TrainConfig:
             raise ValueError("epochs, patience, and hidden must be positive")
         if not 1 <= self.timeout_seconds < math.inf:
             raise ValueError(f"timeout must be in [1, inf) seconds, got {self.timeout_seconds}")
+        if self.timeout_seconds > TIMEOUT_MAX:
+            raise ValueError(f"timeout must be at most {TIMEOUT_MAX} seconds, "
+                             f"got {self.timeout_seconds}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0 < self.lr < math.inf:

@@ -1,5 +1,6 @@
 """Autodiff forward semantics, gradient correctness, and the Adam optimizer."""
 
+import hashlib
 import weakref
 
 import numpy as np
@@ -427,6 +428,33 @@ class TestEdgeAttnAgg:
         assert seen and set(seen) == {np.dtype(np.float32)}
         assert out.data.dtype == np.float32
         assert {t.grad.dtype for t in (src, dst, x)} == {np.dtype(np.float32)}
+
+    # sha256 of the output and the three gradients, recorded while the
+    # aggregation still ran as np.add.at scatters over the edge list: the bytes
+    # of attention are pinned in both dtypes (numpy 2.4, scipy 1.17).
+    PINNED = {
+        "float32": "78f3f6ca184fbf8ccd15afd95093023e36e36c8dac8c04aecc9da5e0f11f4d93",
+        "float64": "4b2e3c13278068e84feabf93c3bb4bcbb2e3999abe13c355dc3e0992a03543cb",
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_pinned_bytes(self, dtype):
+        # node 11 is isolated, and sym_norm with c = 0 stores no diagonal, so its
+        # row is empty; node 0 has eight neighbours
+        edges = [(0, v) for v in range(1, 9)] + [(1, 2), (2, 3), (3, 9), (9, 10), (4, 10)]
+        g = graphs.Graph(12, 2, edges, np.zeros((12, 1)), [0] * 12)
+        op = graphs.build_operator(
+            g, graphs.LaplacianVariant(graphs.Variant.ADJ_SYM_NORM, 0.0), dtype)
+        assert op.csr.indptr[11] == op.csr.indptr[12]
+        rng = np.random.default_rng(4)
+        src, dst, x = (ad.Tensor(2.0 * rng.standard_normal(shape).astype(dtype),
+                                 requires_grad=True) for shape in ((12, 1), (12, 1), (12, 5)))
+        out = ad.edge_attn_agg(op, src, dst, x)
+        grads = out.vjp(rng.standard_normal((12, 5)).astype(dtype))
+        arrays = (out.data, *grads)
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+        assert digest == self.PINNED[np.dtype(dtype).name]
 
     def test_attention_rows_sum_to_one(self):
         s = self.path3()

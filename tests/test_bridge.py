@@ -213,6 +213,22 @@ class TestLiveBackend:
     def test_zero_temperature_is_accepted(self):
         assert LiveBackend("http://localhost", "m", temperature=0).temperature == 0
 
+    # No request can reach these: no scheme urllib can open, or no host.
+    @pytest.mark.parametrize("url", ["", "http//x", "localhost:8000/v1", "ftp://x",
+                                     "http://", "https:///v1"])
+    def test_url_no_request_can_use_is_rejected(self, url):
+        with pytest.raises(ValueError, match="base_url must be an http or https URL") as exc:
+            LiveBackend(url, "m")
+        assert repr(url) in str(exc.value)
+
+    @pytest.mark.parametrize("url, stored", [
+        ("http://localhost", "http://localhost"),
+        ("https://api.example.com/v1/", "https://api.example.com/v1"),
+        ("http://127.0.0.1:8000", "http://127.0.0.1:8000"),
+    ])
+    def test_http_url_with_a_host_is_accepted(self, url, stored):
+        assert LiveBackend(url, "m").base_url == stored
+
     def test_success_and_isolated_failure(self, http_server, monkeypatch):
         monkeypatch.setattr("time.sleep", lambda s: None)
         backend = LiveBackend(http_server, "test-model")

@@ -137,6 +137,7 @@ class TestUsage:
         (["--timeout-secs", "nan"], "timeout must be in [1, inf) seconds, got nan"),
         (["--timeout-secs", "inf"], "timeout must be in [1, inf) seconds, got inf"),
         (["--seed", "-1"], "seed must be at least 0, got -1"),
+        (["--timeout-secs", "2147484"], "timeout must be at most 2147483 seconds, got 2147484.0"),
     ])
     def test_unusable_eval_flag_is_usage_error(self, dataset, capsys, flags, message):
         assert run([*split_argv("eval", dataset), *flags]) == 1
@@ -508,6 +509,7 @@ class TestSearch:
         ({"timeout_seconds": float("inf")}, "'train.timeout_seconds' must be a number, got inf"),
         ({"weight_decay": -0.1}, "weight_decay must be in [0, inf), got -0.1"),
         ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"timeout_seconds": 2147484}, "timeout must be at most 2147483 seconds, got 2147484"),
     ])
     def test_unusable_train_value_is_usage_error(self, dataset, tmp_path, capsys,
                                                  train_cfg, message):
@@ -572,6 +574,8 @@ class TestSearch:
         ("backend", {"live": {"base_url": "http://localhost", "model": "m",
                               "temperature": -1}},
          "temperature must be at least 0, got -1"),
+        ("backend", {"live": {"base_url": "localhost:8000/v1", "model": "m"}},
+         "base_url must be an http or https URL with a host, got 'localhost:8000/v1'"),
     ])
     def test_malformed_config_section_is_usage_error(self, dataset, tmp_path, capsys,
                                                      key, value, message):

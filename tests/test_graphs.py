@@ -189,10 +189,6 @@ class TestSparseOp:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(op.csr, name), getattr(ref, name)
             assert np.array_equal(a, b) and a.dtype == b.dtype
-        row, col = op.coords
-        assert row.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
-        assert col.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 3, 2, 3, 4, 3, 4]
-        assert row.dtype == col.dtype == np.int64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_operator_without_zeros_shares_the_pattern(self, dtype):

@@ -117,10 +117,19 @@ class TestTrainConfig:
         ("lr", 0.0, "lr must be positive"),
         ("lr", -0.01, "lr must be positive"),
         ("hidden", 0, "must be positive"),
+        ("timeout_seconds", 2147484, "timeout must be at most 2147483 seconds"),
+        ("timeout_seconds", 2147483.5, "timeout must be at most 2147483 seconds"),
     ])
     def test_value_no_run_can_use_is_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             training.TrainConfig(**{field: value})
+
+    def test_longest_timeout_is_honoured(self, sep_graph, sep_split):
+        # the scoring wait polls in whole milliseconds, which a C int must hold
+        cfg = training.TrainConfig(max_epochs=2, patience=2, hidden=8,
+                                   timeout_seconds=training.TIMEOUT_MAX)
+        [result] = training.evaluate_batch([dsl.builtin("gcn")], sep_graph, sep_split, cfg)
+        assert result.ok
 
     def test_no_dropout_is_accepted(self, sep_graph, sep_split):
         cfg = training.TrainConfig(max_epochs=2, patience=2, hidden=8, dropout=0.0)
