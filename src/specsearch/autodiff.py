@@ -7,11 +7,9 @@ number) and do not re-check shape rules that the DSL front end
 Sparse operators (graphs.SparseOp) appear only as the left factor of spmm and the
 structure argument of edge_attn_agg; no gradient flows into their weights.
 
-The tape records only where a gradient flows: an op's output requires a
-gradient if and only if one of its inputs does, and an output that requires
-none keeps no parents and no VJP. A VJP computes the gradients of the inputs
-that require one and gives None for the others. `backward` spends the tape as
-it sweeps it, so a tape can be swept once.
+The tape records only where a gradient flows (see `Tensor`); `backward` spends it as
+it sweeps. No value is scanned for inf or NaN: `div`, `power` and `step_adam` alone
+raise NumericalError, and `training.ModelAssembly.forward` checks the logits.
 """
 
 from __future__ import annotations
@@ -29,14 +27,12 @@ class Tensor:
 
     A leaf requires a gradient when it is made with `requires_grad=True`; an op's
     output does when one of its parents does. An output that requires none
-    records nothing: it keeps no parents and no VJP.
+    records nothing: it keeps no parents and no VJP. `data` may hold inf or NaN.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "vjp")
 
     def __init__(self, data, requires_grad=False, parents=(), vjp=None):
-        if not np.all(np.isfinite(data)):
-            raise NumericalError("non-finite value in forward computation")
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
@@ -152,7 +148,7 @@ def sum_rows(a):
 
 
 def power(a, exponent):
-    """Raise a (typically scalar) tensor to a non-negative compile-time exponent."""
+    """Raise a (typically scalar) tensor to a compile-time exponent."""
     m = float(exponent)
     if a.data.min() < 0 and m != int(m):
         raise NumericalError("fractional power of a negative value")
@@ -228,8 +224,7 @@ def edge_attn_agg(adj, scores_src, scores_dst, x):
     dtype = x.data.dtype
     rowmax = np.full(n, -np.inf, dtype=dtype)
     np.maximum.at(rowmax, r, e)
-    safe_max = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    ez = np.exp(e - safe_max[r])
+    ez = np.exp(e - rowmax[r])
     denom = np.bincount(r, weights=ez, minlength=n).astype(dtype)  # bincount sums in float64
     alpha = ez / denom[r]
     weights = sp.csr_matrix((alpha, c, adj.csr.indptr), (n, n))
@@ -283,10 +278,7 @@ def backward(loss):
     while topo:
         node = topo.pop()
         if node.vjp is not None and node.grad is not None:
-            g = node.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericalError("non-finite gradient")
-            for p, gp in zip(node.parents, node.vjp(g)):
+            for p, gp in zip(node.parents, node.vjp(node.grad)):
                 if p.requires_grad:     # a VJP gives None for the others
                     gp = _reduce_broadcast(gp, p.shape)
                     p.grad = gp if p.grad is None else p.grad + gp

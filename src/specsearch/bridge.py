@@ -151,6 +151,11 @@ class LiveBackend:
         url = urllib.parse.urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http or https URL with a host, got {self.base_url!r}")
+        try:
+            if url.port == 0:       # None when the URL names no port
+                raise ValueError
+        except ValueError:          # also raised for a non-integer port, or one past 65535
+            raise ValueError(f"base_url must be an http or https URL with a port in 1..65535, got {self.base_url!r}")
         self.base_url = self.base_url.rstrip("/")
         if self.max_concurrent < 1:
             raise ValueError(f"max_concurrent must be at least 1, got {self.max_concurrent}")

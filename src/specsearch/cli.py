@@ -148,7 +148,7 @@ def _resolve_mechanism(spec):
         return spec, dsl.builtin(spec)
     except UnknownBuiltin:
         path = Path(spec)
-        if path.exists():
+        if path.is_file():
             return path.stem, path.read_text(encoding="utf-8")
         raise SpecSearchError(
             f"{spec!r} is neither a builtin mechanism ({', '.join(builtin_names())}) "
@@ -312,9 +312,8 @@ def cmd_bench(args):
 
 def cmd_gen_data(args):
     try:
-        graph = graphs.gen_synthetic(args.n, args.classes, args.homophily,
-                                     args.avg_degree, args.feature_dim,
-                                     args.signal, args.seed or 0)
+        graph = graphs.gen_synthetic(args.n, args.classes, args.homophily, args.avg_degree,
+                                     args.feature_dim, args.signal, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     graphs.save_dataset(graph, args.out)

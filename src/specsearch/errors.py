@@ -22,7 +22,7 @@ class CompileError(SpecSearchError):
 
 
 class NumericalError(SpecSearchError):
-    """Raised when a forward value or gradient becomes NaN/Inf."""
+    """Non-finite logits or parameter gradients, a zero divisor, or a bad power or fold."""
 
 
 class DslSyntaxError(SpecSearchError):

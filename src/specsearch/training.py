@@ -114,6 +114,8 @@ class ModelAssembly:
         z = self.mechanism(x_in, x_raw)
         if self.has_head:
             z = ad.add(ad.matmul(z, self.params["head.W"]), self.params["head.b"])
+        if not np.all(np.isfinite(z.data)):
+            raise NumericalError("non-finite logits")
         return z
 
     def snapshot(self):
@@ -314,7 +316,8 @@ def _score_worker(conn, typed, graph, split, cfg):
         mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
     start = time.monotonic()
     try:
-        result = _score_impl(typed, graph, split, cfg)
+        with np.errstate(all="ignore"):     # the `numeric` label reports the fault
+            result = _score_impl(typed, graph, split, cfg)
     except Exception as exc:
         result = FitResult(discard_reason(exc))
     usage = resource.getrusage(resource.RUSAGE_SELF)

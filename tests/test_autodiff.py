@@ -57,11 +57,6 @@ class TestForward:
             ad.edge_attn_agg(op, src, dst, x)
         assert training.discard_reason(exc.value) == "internal"
 
-    def test_nonfinite_forward_raises(self):
-        a = ad.Tensor(np.array([[1e308]]))
-        with np.errstate(over="ignore"), pytest.raises(NumericalError):
-            ad.mul(a, a)
-
     def test_division_by_zero_raises(self):
         with pytest.raises(NumericalError):
             ad.div(ad.Tensor(np.ones((2, 2))), ad.Tensor(np.zeros((2, 2))))

@@ -213,9 +213,11 @@ class TestLiveBackend:
     def test_zero_temperature_is_accepted(self):
         assert LiveBackend("http://localhost", "m", temperature=0).temperature == 0
 
-    # No request can reach these: no scheme urllib can open, or no host.
+    # No request can reach these: no scheme urllib can open, no host, or a port
+    # outside 1..65535.
     @pytest.mark.parametrize("url", ["", "http//x", "localhost:8000/v1", "ftp://x",
-                                     "http://", "https:///v1"])
+                                     "http://", "https:///v1", "http://127.0.0.1:99999",
+                                     "http://127.0.0.1:abc", "http://h:0"])
     def test_url_no_request_can_use_is_rejected(self, url):
         with pytest.raises(ValueError, match="base_url must be an http or https URL") as exc:
             LiveBackend(url, "m")

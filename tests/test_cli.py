@@ -154,6 +154,16 @@ class TestUsage:
         assert run(["eval", "--dataset", "/nonexistent.json",
                     "--mechanism", "gcn"]) == 2
 
+    # "" and the empty entry after a comma name the current directory.
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dataset", "{dataset}", "--mechanism", ""],
+        ["inspect", "--mechanism", "{dir}"],
+        ["xeval", "--datasets", "{dataset}", "--mechanisms", "gcn,"],
+    ])
+    def test_directory_is_not_a_mechanism_file(self, dataset, tmp_path, capsys, argv):
+        assert run([a.format(dataset=dataset, dir=tmp_path) for a in argv]) == 2
+        assert "is neither a builtin mechanism" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_writes_loadable_dataset(self, tmp_path, capsys):

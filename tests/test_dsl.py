@@ -293,6 +293,27 @@ class TestTokenEdits:
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(name=st.sampled_from(dsl.builtin_names()), edits=EDITS)
+    def test_lowered_program_trains_ok_or_numeric(self, name, edits):
+        # The one finiteness rule: whatever a lowered program computes, training
+        # ends ok or with a `numeric` discard, never with an engine fault.
+        g = path_graph(8, feature_dim=4)
+        split = graphs.Split(range(4), range(4, 6), range(6, 8))
+        try:
+            typed = training.lower(edited_builtin(name, edits), g, training.TrainConfig(hidden=8))
+        except Exception:
+            return
+        for float64 in (False, True):
+            cfg = training.TrainConfig(max_epochs=2, patience=2, hidden=8, float64=float64)
+            try:
+                with np.errstate(all="ignore"):
+                    res = training._score_impl(typed, g, split, cfg)
+            except Exception as exc:
+                assert training.discard_reason(exc) == "numeric", repr(exc)
+            else:
+                assert res.ok and 0.0 <= res.fitness <= 1.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(dsl.builtin_names()), edits=EDITS)
     def test_printed_program_parses_to_itself(self, name, edits):
         text = edited_builtin(name, edits)
         try:

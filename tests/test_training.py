@@ -4,7 +4,10 @@ import ctypes
 import multiprocessing as mp
 import os
 import platform
+import sys
 import time
+import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -331,6 +334,63 @@ class TestScoring:
         a = training.evaluate_batch([text, text], g, split, cfg, pool_size=2)
         b = score(text, g, split, cfg)
         assert a[0].fitness == a[1].fitness == b.fitness
+
+
+def overflow_program(body):
+    """A mechanism with a scalar parameter whose square overflows float32 only."""
+    return ("mechanism m { params { s: scalar = const(1e30); } "
+            f"init {{ {body} }} out {{ Y = Z; }} }}")
+
+
+class TestFinitenessRule:
+    """A candidate is `numeric` when its logits or a parameter's gradient are not
+    finite; no op scans its own output."""
+
+    @pytest.mark.parametrize("run", [
+        lambda asm, g: asm.forward(training=True, epoch=1),
+        lambda asm, g: training.evaluate(asm, g, range(g.num_nodes)),
+    ], ids=["training", "evaluation"])
+    def test_overflowing_logits_raise_from_forward(self, sep_graph, run):
+        cfg = training.TrainConfig(hidden=8, seed=0)
+        asm = training.build_assembly(overflow_program("Z = X * s * s;"), sep_graph, cfg)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="logits"):
+            run(asm, sep_graph)
+        # The square of 1e30 is finite in float64.
+        run(training.build_assembly(overflow_program("Z = X * s * s;"), sep_graph,
+                                    replace(cfg, float64=True)), sep_graph)
+
+    def test_overflow_hidden_from_the_logits_is_caught_at_adam(self, sep_graph, sep_split):
+        cfg = training.TrainConfig(max_epochs=5, hidden=8, seed=0)
+        asm = training.build_assembly(overflow_program("Z = tanh(X * s * s);"), sep_graph, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isfinite(asm.forward(training=True, epoch=1).data))
+            with pytest.raises(NumericalError, match="gradient for parameter"):
+                training.train(asm, sep_graph, sep_split, cfg)
+
+    def test_overflow_that_reaches_no_gradient_trains_ok(self, sep_graph, sep_split):
+        # pow(inf, 0) is 1 and pow's VJP for exponent 0 is zero, so the model
+        # trains exactly as Z = X does.
+        cfg = training.TrainConfig(max_epochs=10, patience=10, hidden=8, seed=0)
+        res, plain = training.evaluate_batch(
+            [overflow_program("Z = X * pow(s * s, 0);"), overflow_program("Z = X;")],
+            sep_graph, sep_split, cfg, pool_size=2)
+        assert res.ok and plain.ok
+        assert (res.fitness, res.test_accuracy) == (plain.fitness, plain.test_accuracy)
+
+    def test_worker_prints_no_floating_point_warning(self, sep_graph, sep_split, capfd,
+                                                     monkeypatch):
+        # pytest records warnings in memory, where a forked worker's are lost;
+        # print them to stderr, as Python does outside pytest.
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+        monkeypatch.setattr(warnings, "showwarning", show)
+        cfg = training.TrainConfig(max_epochs=2, patience=2, hidden=8, seed=0)
+        texts = [overflow_program("Z = X * s * s;"), overflow_program("Z = tanh(X * s * s);"),
+                 overflow_program("Z = X * pow(s - s, 0 - 1);")]      # 0 ** -1 divides by zero
+        results = training.evaluate_batch(texts, sep_graph, sep_split, cfg, pool_size=2)
+        assert [r.status for r in results] == ["numeric"] * 3
+        assert "RuntimeWarning" not in capfd.readouterr().err
 
 
 class TestFrontEnd:
